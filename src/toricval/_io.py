@@ -303,11 +303,3 @@ def rational_fan_from_json(obj):
             [_parse_uvec(r, n, f"cones[{i}][{k}]") for k, r in enumerate(c)]
         )
     return rational_fan_from_cones(n, cones), gamma
-
-
-def vec_str(v):
-    return [str(x) for x in v]
-
-
-def ivec(v):
-    return [int(x) for x in v]

@@ -23,7 +23,7 @@ from .errors import (
     NotFiniteType,
 )
 from .linalg import canonical_ray, primitive_int_vector, vdot, vec
-from .ordfield import FE_ONE, FE_ZERO, FieldElement, ValueGroup, as_fe
+from .ordfield import FieldElement, ValueGroup, as_fe
 from .polyhedra import Cone, HalfSpace, vertical_normal
 
 
@@ -185,7 +185,7 @@ class SemigroupElement:
 class GeneratorSet:
     """A finite set of semigroup elements over one value group, kept sorted."""
 
-    __slots__ = ("n", "gamma", "gens")
+    __slots__ = ("n", "gamma", "gens", "_hull")
 
     def __init__(self, n, gamma: ValueGroup, gens):
         elems = []
@@ -206,6 +206,16 @@ class GeneratorSet:
         self.n = n
         self.gamma = gamma
         self.gens = tuple(elems)
+        self._hull = None
+
+    def hull(self):
+        """The cone generated by the vertical ray and the pair vectors."""
+        if self._hull is None:
+            self._hull = Cone.from_rays(
+                self.n + 1,
+                [vertical_normal(self.n)] + [e.pair_vector() for e in self.gens],
+            )
+        return self._hull
 
     def __iter__(self):
         return iter(self.gens)
@@ -351,10 +361,6 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
             kept.append(SemigroupElement(u, g))
 
     gens = GeneratorSet(ac.n, ac.gamma, kept)
-    vertical = tuple([FE_ZERO] * ac.n) + (FE_ONE,)
-    generated = Cone.from_rays(
-        ac.n + 1, [vertical] + [e.pair_vector() for e in gens]
-    )
-    if generated != ac.cone.dual():
+    if gens.hull() != ac.cone.dual():
         raise BoundTooSmall(bound, "generated cone does not reach the dual cone")
     return gens

@@ -24,8 +24,8 @@ from .admissible import (
 from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_min
 from .linalg import rank, vec
-from .ordfield import FE_ONE, FE_ZERO, FieldElement, as_fe
-from .polyhedra import Cone, HalfSpace
+from .ordfield import FE_ZERO, FieldElement, as_fe
+from .polyhedra import HalfSpace
 
 
 def cone_from_generators(gens: GeneratorSet) -> AdmissibleCone:
@@ -83,9 +83,7 @@ def rationalize(target, gens: GeneratorSet) -> RationalRepresentation:
         target = SemigroupElement(*target)
     n = gens.n
     glist = list(gens)
-    vertical = tuple([FE_ZERO] * n) + (FE_ONE,)
-    hull = Cone.from_rays(n + 1, [vertical] + [e.pair_vector() for e in glist])
-    if not hull.contains_point(target.pair_vector()):
+    if not gens.hull().contains_point(target.pair_vector()):
         raise NotInCone((target.u, target.g))
     A = [[e.u[i] for e in glist] for i in range(n)]
     b = [target.u[i] for i in range(n)]
@@ -220,10 +218,7 @@ def saturation_check(gens: GeneratorSet, bounds):
 
     grid = _gamma_grid(gens.gamma, grid_bound)
     search = _MembershipSearch(gens, grid, 2 * (b_u + k_max))
-    vertical = tuple([FE_ZERO] * gens.n) + (FE_ONE,)
-    hull = Cone.from_rays(
-        gens.n + 1, [vertical] + [e.pair_vector() for e in gens]
-    )
+    hull = gens.hull()
 
     for u in itertools.product(range(-b_u, b_u + 1), repeat=gens.n):
         for g in grid:

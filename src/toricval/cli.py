@@ -10,7 +10,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import _io
@@ -18,6 +17,7 @@ from .admissible import algebra_generators, bad_slice_vertices, is_finite_type
 from .classify import round_trip, saturation_check
 from .errors import MathematicalNo, NotAFan, SchemaError, ToricValError
 from .fans import product_fan, recession_fan, slice_complex
+from .linalg import primitive_int_vector
 from .projtoric import orbit_correspondence, weight_subdivision
 from .svg import render_slice_complex, render_subdivision
 
@@ -36,8 +36,6 @@ def _build_parser():
         prog="toricval",
         description="Exact polyhedral toolkit for toric geometry over a "
         "rank-one valuation ring.",
-        epilog="TORICVAL_THREADS caps internal parallelism; this build "
-        "executes every operation single-threaded regardless.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -175,17 +173,11 @@ def _cmd_recession(ns):
     report = {
         "n": rf.n,
         "cones": [
-            [list(_io_int_ray(r)) for r in c.rays] for c in rf.cones
+            [list(primitive_int_vector(r)) for r in c.rays] for c in rf.cones
         ],
         "poset": [list(e) for e in rf.poset],
     }
     return report, 0
-
-
-def _io_int_ray(r):
-    from .linalg import primitive_int_vector
-
-    return primitive_int_vector(r)
 
 
 def _cmd_product_fan(ns):
@@ -278,24 +270,7 @@ def _emit(report, out_path):
         _write_text(out_path, text)
 
 
-def _threads_env_ok():
-    raw = os.environ.get("TORICVAL_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return f"TORICVAL_THREADS must be a positive integer, got {raw!r}"
-    if value < 1:
-        return f"TORICVAL_THREADS must be a positive integer, got {raw!r}"
-    return None
-
-
 def main(argv=None) -> int:
-    problem = _threads_env_ok()
-    if problem is not None:
-        sys.stdout.write(_io.dumps({"error": problem, "kind": "UsageError"}))
-        return 1
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -6,17 +6,13 @@ pivoting heuristic to tune because there is no rounding.
 
 from __future__ import annotations
 
-from ._rational import Q, qgcd
+from ._rational import qgcd
 from .errors import DimensionMismatch
-from .ordfield import FE_ONE, FE_ZERO, FieldElement, as_fe
+from .ordfield import FE_ZERO, as_fe
 
 
 def vec(entries):
     return tuple(as_fe(x) for x in entries)
-
-
-def vzero(dim):
-    return tuple(FE_ZERO for _ in range(dim))
 
 
 def vdot(a, b):
@@ -28,10 +24,6 @@ def vdot(a, b):
             if y.p or y.q:
                 total = total + x * y
     return total
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
@@ -82,20 +74,6 @@ def rref(rows, dim):
 
 def rank(rows, dim):
     return len(rref(rows, dim)[0])
-
-
-def kernel_basis(rows, dim):
-    """Basis of the right kernel {x : A x = 0}."""
-    reduced, pivots = rref(rows, dim)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [FE_ZERO] * dim
-        v[f] = FE_ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
 
 
 def primitive_int_vector(v):

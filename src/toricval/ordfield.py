@@ -248,11 +248,6 @@ FE_ZERO = FieldElement(0)
 FE_ONE = FieldElement(1)
 
 
-def fe_sign(x: FieldElement) -> int:
-    """Exact sign in {-1, 0, +1}."""
-    return as_fe(x).sign()
-
-
 # -- value groups -----------------------------------------------------------
 
 
@@ -396,11 +391,3 @@ class ValueGroup:
 
     def __repr__(self):
         return f"ValueGroup({self.field}, [{', '.join(map(str, self.generators))}])"
-
-
-def gamma_contains(gamma: ValueGroup, x) -> bool:
-    return gamma.contains(x)
-
-
-def gamma_is_discrete(gamma: ValueGroup) -> bool:
-    return gamma.is_discrete()

@@ -12,6 +12,15 @@ adjacent positive/negative pairs are combined.  Adjacency uses the
 combinatorial criterion: rays r1, r2 of the current cone are adjacent iff no
 third ray is tight on every constraint that is tight on both.  That test is
 exact on minimal ray lists, which the induction maintains.
+
+One run per cone: dd_pair also returns the inputs tight on each output ray,
+and the input side is read off those incidences.  Inputs tight on every ray
+span the equations (or the lineality); those whose tight-ray set is maximal
+by inclusion are the irredundant ones, reduced modulo that subspace at the
+pivots of an echelon basis chosen from the last coordinate and scaled by
+canonical_ray (the representative dd_pair's own reductions produce).  Face
+ray sets are the intersections of facet ray sets, each face's H-side read
+off the parent's constraints the same way, with no further run.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from .errors import DimensionMismatch
 from .linalg import (
     canonical_ray,
     is_zero_vec,
-    kernel_basis,
     rank,
     rref,
     vdot,
@@ -28,9 +36,8 @@ from .linalg import (
     vneg,
     vscale,
     vsub,
-    vzero,
 )
-from .ordfield import FE_ONE, FE_ZERO, FieldElement, as_fe
+from .ordfield import FE_ONE, FE_ZERO, as_fe
 
 
 class HalfSpace:
@@ -75,8 +82,9 @@ def _unit_vectors(dim):
 def dd_pair(dim, normals):
     """V-representation of {x : a . x >= 0 for a in normals}.
 
-    Returns (rays, lineality): canonical sorted extreme rays and a canonical
-    basis of the lineality space.
+    Returns (rays, lineality, tight): canonical sorted extreme rays, a
+    canonical basis of the lineality space, and for each ray the frozenset of
+    input indices tight on it (zero inputs are never listed).
     """
     lin = _unit_vectors(dim)
     rays = []  # [vector, tight-index-set] pairs
@@ -127,9 +135,41 @@ def dd_pair(dim, normals):
                     pair[1].add(idx)
         processed.append(idx)
 
-    out_rays = sorted(pair[0] for pair in rays)
+    rays.sort(key=lambda pair: pair[0])
     out_lin, _ = rref(lin, dim)
-    return tuple(out_rays), tuple(out_lin)
+    return (
+        tuple(pair[0] for pair in rays),
+        tuple(out_lin),
+        tuple(frozenset(pair[1]) for pair in rays),
+    )
+
+
+def _other_side(dim, inputs, tight):
+    """The irredundant inputs and the input subspace, read off incidences.
+
+    inputs are one side of a cone (constraint normals, or generators with a
+    lineality basis and its negation); tight holds, for each extreme ray of
+    the other side, the indices of the inputs vanishing on it.  Returns
+    (irredundant, subspace) canonical as dd_pair would return them.
+    """
+    implicit = frozenset(range(len(inputs))).intersection(*tight)
+    subspace, _ = rref([inputs[i] for i in implicit], dim)
+    zero_sets = {}
+    for i, v in enumerate(inputs):
+        if i not in implicit and not is_zero_vec(v):
+            zero_sets[i] = frozenset(k for k, t in enumerate(tight) if i in t)
+    rev, pivots = rref([v[::-1] for v in subspace], dim)
+    basis = [(row[::-1], dim - 1 - p) for row, p in zip(rev, pivots)]
+    kept = set()
+    for i, z in zero_sets.items():
+        if any(z < other for other in zero_sets.values()):
+            continue
+        v = inputs[i]
+        for row, p in basis:
+            if v[p]:
+                v = vsub(v, vscale(v[p], row))
+        kept.add(canonical_ray(v))
+    return tuple(sorted(kept)), tuple(subspace)
 
 
 class Cone:
@@ -149,22 +189,17 @@ class Cone:
 
     @staticmethod
     def from_constraints(dim, normals):
-        rays, lin = dd_pair(dim, normals)
-        facets, eqs = dd_pair(
-            dim, list(rays) + list(lin) + [vneg(l) for l in lin]
-        )
+        normals = [vec(a) for a in normals]
+        rays, lin, tight = dd_pair(dim, normals)
+        facets, eqs = _other_side(dim, normals, tight)
         return Cone(dim, rays, lin, facets, eqs)
 
     @staticmethod
     def from_rays(dim, rays, lineality=()):
-        rays = [vec(r) for r in rays]
         lineality = [vec(l) for l in lineality]
-        facets, eqs = dd_pair(
-            dim, rays + lineality + [vneg(l) for l in lineality]
-        )
-        crays, clin = dd_pair(
-            dim, list(facets) + list(eqs) + [vneg(e) for e in eqs]
-        )
+        gens = [vec(r) for r in rays] + lineality + [vneg(l) for l in lineality]
+        facets, eqs, tight = dd_pair(dim, gens)
+        crays, clin = _other_side(dim, gens, tight)
         return Cone(dim, crays, clin, facets, eqs)
 
     # -- basic queries --------------------------------------------------------
@@ -219,21 +254,33 @@ class Cone:
         full containment relation as (sub, super) index pairs."""
         if self._faces is not None:
             return self._faces
-        nf = len(self.facets)
-        tight_sets = {}
-        for mask in range(1 << nf):
-            chosen = [self.facets[j] for j in range(nf) if mask >> j & 1]
-            tight = frozenset(
-                i
-                for i, r in enumerate(self.rays)
-                if all(not vdot(f, r) for f in chosen)
-            )
-            tight_sets.setdefault(tight, None)
-        keys = sorted(tight_sets, key=lambda s: (-len(s), sorted(s)))
-        faces = [
-            Cone.from_rays(self.dim, [self.rays[i] for i in s], self.lineality)
-            for s in keys
+        constraints = self.all_constraints()
+        tight = [
+            frozenset(i for i, c in enumerate(constraints) if not vdot(c, r))
+            for r in self.rays
         ]
+        # facets come first in all_constraints, so facet j is constraint j
+        facet_sets = [
+            frozenset(k for k, t in enumerate(tight) if j in t)
+            for j in range(len(self.facets))
+        ]
+        found = {frozenset(range(len(self.rays)))}
+        todo = list(found)
+        while todo:
+            s = todo.pop()
+            for z in facet_sets:
+                face = s & z
+                if face not in found:
+                    found.add(face)
+                    todo.append(face)
+        keys = sorted(found, key=lambda s: (-len(s), sorted(s)))
+        faces = []
+        for s in keys:
+            idx = sorted(s)
+            facets, eqs = _other_side(self.dim, constraints, [tight[i] for i in idx])
+            faces.append(
+                Cone(self.dim, [self.rays[i] for i in idx], self.lineality, facets, eqs)
+            )
         edges = [
             (i, j)
             for i, si in enumerate(keys)
@@ -265,10 +312,6 @@ class Cone:
         )
 
 
-def dual_cone(cone: Cone) -> Cone:
-    return cone.dual()
-
-
 def vertical_normal(n):
     return tuple([FE_ZERO] * n) + (FE_ONE,)
 
@@ -284,4 +327,4 @@ def dd_convert(halfspaces, n):
         for h in halfspaces
     ]
     normals.append(vertical_normal(n))
-    return dd_pair(n + 1, normals)
+    return dd_pair(n + 1, normals)[:2]

@@ -150,6 +150,28 @@ def canon_rays(rays):
     return sorted(out)
 
 
+# -- face lattice by facet-subset enumeration ---------------------------------
+
+
+def brute_face_sets(cone):
+    """Ray-index sets of every face of a cone, by trying all facet subsets.
+
+    Each subset of the facets (the empty one included) picks the rays tight
+    on all of them; the distinct picks are the faces.  Sorted by decreasing
+    size, then by index list, the order Cone.face_lattice uses.
+    """
+    nf = len(cone.facets)
+    sets = set()
+    for mask in range(1 << nf):
+        chosen = [cone.facets[j] for j in range(nf) if mask >> j & 1]
+        sets.add(frozenset(
+            i for i, r in enumerate(cone.rays)
+            if all(sum((a * b for a, b in zip(f, r)), fe(0)).sign() == 0
+                   for f in chosen)
+        ))
+    return sorted(sets, key=lambda s: (-len(s), sorted(s)))
+
+
 # -- brute-force semigroup membership -----------------------------------------
 
 

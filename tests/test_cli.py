@@ -161,19 +161,6 @@ def test_unknown_command():
     assert code == 1
 
 
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("TORICVAL_THREADS", "nope")
-    code, out = run_cli("dual", fx("C1.json"))
-    assert code == 1
-    assert "TORICVAL_THREADS" in json.loads(out)["error"]
-    monkeypatch.setenv("TORICVAL_THREADS", "-2")
-    code, _ = run_cli("dual", fx("C1.json"))
-    assert code == 1
-    monkeypatch.setenv("TORICVAL_THREADS", "4")
-    code, _ = run_cli("dual", fx("C1.json"))
-    assert code == 0
-
-
 def test_svg_rejected_for_high_dimension(tmp_path):
     # build a 3-d config on the fly; SVG only covers n <= 2
     doc = {

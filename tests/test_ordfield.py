@@ -17,7 +17,6 @@ from toricval import (
     FieldMismatch,
     ValueGroup,
     fe,
-    fe_sign,
     sqrtd,
 )
 
@@ -103,7 +102,6 @@ def test_sign_interval_oracle_random():
         q = Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         x = fe(p, q, d)
         assert x.sign() == interval_sign(p, q, d)
-        assert fe_sign(x) == x.sign()
 
 
 def test_total_order():

@@ -1,19 +1,26 @@
 """Double-description cone tests.
 
 Extreme rays are cross-checked against an exhaustive subset-enumeration
-oracle; face counts against closed-form values for simplicial cones and
-cones over cubes; biduality holds literally on canonical ray sets.
+oracle; face counts against closed-form values for simplicial cones, cones
+over cubes and cones over polygons; biduality holds literally on canonical
+ray sets.  Property tests over random cones (Q and Q(sqrt 2), with and
+without lineality, of every intrinsic dimension) check that one double
+description run per cone gives the same canonical data as running the
+converter on both sides, and that the face lattice matches facet-subset
+enumeration.
 """
 
-import itertools
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalog import CONES
-from oracles import brute_rays, canon_rays
-from toricval import Cone, HalfSpace, fe, sqrtd
+from oracles import brute_face_sets, brute_rays, canon_rays
+from toricval import Cone, HalfSpace, fe, polyhedra, sqrtd
+from toricval.linalg import vneg
 
 
 def _cone_from_normals(dim, normals):
@@ -153,6 +160,26 @@ def test_face_count_cone_over_cube():
         assert len(cone.face_lattice()[0]) == 3 ** k + 1
 
 
+def test_face_count_cone_over_polygon():
+    # cone over a convex k-gon: apex, k rays, k two-faces and the cone
+    for k in range(3, 17):
+        cone = Cone.from_rays(3, [(i, i * i, 1) for i in range(k)])
+        assert len(cone.face_lattice()[0]) == 2 * k + 2
+
+
+def test_one_dd_run_per_cone_and_none_per_face(monkeypatch):
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    cone = Cone.from_rays(3, [(i, i * i, 1) for i in range(6)])
+    assert len(calls) == 1
+    Cone.from_constraints(3, cone.facets)
+    assert len(calls) == 2
+    cone.face_lattice()
+    assert len(calls) == 2
+
+
 def test_is_face_of():
     quad = _cone_from_normals(2, [(1, 0), (0, 1)])
     xaxis = Cone.from_rays(2, [(1, 0)])
@@ -185,3 +212,53 @@ def test_lineality_detected():
     assert cone.lineality
     full = Cone.from_constraints(2, [])
     assert len(full.lineality) == 2
+
+
+# -- properties over random cones ----------------------------------------------
+
+
+@st.composite
+def random_cones(draw):
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        coord = st.builds(fe, st.integers(-3, 3))
+    else:
+        coord = st.builds(fe, st.integers(-3, 3), st.integers(-2, 2), st.just(2))
+    vector = st.tuples(*[coord] * dim)
+    vecs = draw(st.lists(vector, min_size=1, max_size=dim + 4))
+    lin = draw(st.lists(vector, max_size=1))
+    if draw(st.booleans()):
+        return Cone.from_constraints(dim, vecs + lin + [vneg(l) for l in lin])
+    return Cone.from_rays(dim, vecs, lin)
+
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None)
+
+
+@PROPERTY
+@given(random_cones())
+def test_one_run_matches_both_runs(cone):
+    v_side = list(cone.rays) + list(cone.lineality) + [vneg(l) for l in cone.lineality]
+    facets, eqs, tight = polyhedra.dd_pair(cone.dim, v_side)
+    assert (facets, eqs) == (cone.facets, cone.equations)
+    for f, t in zip(facets, tight):
+        assert t == {i for i, v in enumerate(v_side)
+                     if not sum((a * b for a, b in zip(f, v)), fe(0))}
+    assert polyhedra.dd_pair(cone.dim, cone.all_constraints())[:2] == (
+        cone.rays, cone.lineality)
+
+
+@PROPERTY
+@given(random_cones())
+def test_face_lattice_matches_facet_subsets(cone):
+    faces, edges = cone.face_lattice()
+    keys = [frozenset(cone.rays.index(r) for r in f.rays) for f in faces]
+    expected = brute_face_sets(cone)
+    assert keys == expected
+    assert edges == [(i, j) for i, si in enumerate(expected)
+                     for j, sj in enumerate(expected) if si < sj]
+    for f in faces:
+        ref = Cone.from_rays(cone.dim, f.rays, cone.lineality)
+        assert (f.rays, f.lineality, f.facets, f.equations) == (
+            ref.rays, ref.lineality, ref.facets, ref.equations)
