@@ -20,7 +20,6 @@ from .ordfield import (
     FieldDescriptor,
     FieldElement,
     ValueGroup,
-    as_fe,
 )
 from .polyhedra import HalfSpace
 from .projtoric import HeightedConfig

@@ -22,7 +22,7 @@ from .admissible import (
     make_admissible,
 )
 from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_min
+from .lp import INFEASIBLE, UNBOUNDED, solve_min
 from .linalg import rank, vec
 from .ordfield import FE_ZERO, FieldElement, as_fe
 from .polyhedra import HalfSpace

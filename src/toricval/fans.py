@@ -3,20 +3,18 @@ slice complexes at s = 1, recession fans, products with the vertical ray, and
 the fan-level finite-type test.
 
 A fan is finite by construction.  Cones are deduplicated by canonical ray
-sets, assembly order is deterministic (sorted canonical forms), and posets are
-stored as the full strict-inclusion relation on indices.
+sets and assembly order is deterministic (sorted canonical forms).  Posets
+are stored as the full strict-inclusion relation on indices, computed on
+canonical ray sets alone: fan cones are pointed and, once the pairwise check
+has passed, meet in common faces, so one fan cone lies in another iff it is
+a face of it, iff its extreme rays are among the other's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .admissible import (
-    AdmissibleCone,
-    SlicePolyhedron,
-    is_finite_type,
-    make_admissible,
-)
+from .admissible import is_finite_type, make_admissible
 from .errors import DimensionMismatch, FieldMismatch, NotAFan
 from .linalg import primitive_int_vector, vec
 from .ordfield import FE_ZERO, ValueGroup
@@ -29,14 +27,54 @@ def _cone_sort_key(c: Cone):
 
 def _inclusion_poset(cones):
     """All strict-inclusion pairs (i, j) with cones[i] a proper subset of
-    cones[j].  Within a valid fan, inclusion between collected cones is
-    face inclusion."""
-    edges = []
-    for i, a in enumerate(cones):
-        for j, b in enumerate(cones):
-            if i != j and a.key() != b.key() and b.contains_cone(a):
-                edges.append((i, j))
-    return tuple(edges)
+    cones[j], for cones of one fan: proper subsets of canonical ray sets
+    (module notes)."""
+    rays = [frozenset(c.rays) for c in cones]
+    return tuple(
+        (i, j)
+        for i, a in enumerate(rays)
+        for j, b in enumerate(rays)
+        if a < b
+    )
+
+
+def _checked_closure(cones, kernel, faces):
+    """The pair check and face closure shared by both fan constructors.
+
+    kernel(c) is the pointed kernel cone of input c, faces(c) its faces.
+    Raises NotAFan on the first input pair, by position, whose intersection
+    is not a common face.  Returns (maximal, all_cones, poset): the
+    deduplicated inputs that are no face of another input, the face closure
+    of those sorted by (dimension, canonical form), and its poset.
+    """
+    for i in range(len(cones)):
+        a = kernel(cones[i])
+        for j in range(i + 1, len(cones)):
+            b = kernel(cones[j])
+            if a.key() == b.key():
+                continue
+            inter = a.intersect(b)
+            if not (inter.is_face_of(a) and inter.is_face_of(b)):
+                raise NotAFan(
+                    i, j,
+                    f"intersection with rays "
+                    f"{[tuple(map(str, r)) for r in inter.rays]} "
+                    f"is not a common face",
+                )
+
+    uniq = {}
+    for c in cones:
+        uniq.setdefault(kernel(c).key(), c)
+    items = sorted(uniq.values(), key=lambda c: _cone_sort_key(kernel(c)))
+    rays = [frozenset(kernel(c).rays) for c in items]
+    maximal = [c for c, r in zip(items, rays) if not any(r < o for o in rays)]
+
+    closed = {}
+    for c in maximal:
+        for f in faces(c):
+            closed.setdefault(f.key(), f)
+    all_cones = sorted(closed.values(), key=lambda c: _cone_sort_key(kernel(c)))
+    return maximal, all_cones, _inclusion_poset([kernel(c) for c in all_cones])
 
 
 class Fan:
@@ -91,40 +129,9 @@ def fan_from_cones(cones) -> Fan:
         if c.gamma != gamma:
             raise FieldMismatch("cones over different value groups")
 
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
-            a, b = cones[i], cones[j]
-            if a.key() == b.key():
-                continue
-            inter = a.cone.intersect(b.cone)
-            if not (inter.is_face_of(a.cone) and inter.is_face_of(b.cone)):
-                raise NotAFan(
-                    i, j,
-                    f"intersection with rays "
-                    f"{[tuple(map(str, r)) for r in inter.rays]} "
-                    f"is not a common face",
-                )
-
-    # deduplicate, then drop cones dominated by another input cone
-    uniq = {}
-    for c in cones:
-        uniq.setdefault(c.key(), c)
-    items = sorted(uniq.values(), key=lambda c: _cone_sort_key(c.cone))
-    maximal = [
-        c
-        for c in items
-        if not any(
-            o.key() != c.key() and o.cone.contains_cone(c.cone) for o in items
-        )
-    ]
-
-    closed = {}
-    for c in maximal:
-        faces, _ = c.faces()
-        for f in faces:
-            closed.setdefault(f.key(), f)
-    all_cones = sorted(closed.values(), key=lambda c: _cone_sort_key(c.cone))
-    poset = _inclusion_poset([c.cone for c in all_cones])
+    maximal, all_cones, poset = _checked_closure(
+        cones, lambda c: c.cone, lambda c: c.faces()[0]
+    )
     return Fan(n, gamma, maximal, all_cones, poset)
 
 
@@ -206,26 +213,10 @@ def rational_fan_from_cones(n, cones) -> RationalFan:
         norm.append(c)
     if not norm:
         raise ValueError("a fan needs at least one cone")
-    for i in range(len(norm)):
-        for j in range(i + 1, len(norm)):
-            a, b = norm[i], norm[j]
-            if a.key() == b.key():
-                continue
-            inter = a.intersect(b)
-            if not (inter.is_face_of(a) and inter.is_face_of(b)):
-                raise NotAFan(
-                    i, j,
-                    f"intersection with rays "
-                    f"{[tuple(map(str, r)) for r in inter.rays]} "
-                    f"is not a common face",
-                )
-    closed = {}
-    for c in norm:
-        faces, _ = c.face_lattice()
-        for f in faces:
-            closed.setdefault(f.key(), f)
-    out = sorted(closed.values(), key=_cone_sort_key)
-    return RationalFan(n, tuple(out), _inclusion_poset(out))
+    _, out, poset = _checked_closure(
+        norm, lambda c: c, lambda c: c.face_lattice()[0]
+    )
+    return RationalFan(n, tuple(out), poset)
 
 
 def recession_fan(fan: Fan) -> RationalFan:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._rational import Q, QZERO, qgcd, qsign
+from ._rational import Q, qgcd, qsign
 
 from .errors import FieldMismatch
 

@@ -227,12 +227,6 @@ class Cone:
             not vdot(e, x) for e in self.equations
         )
 
-    def contains_cone(self, other):
-        return all(self.contains_point(r) for r in other.rays) and all(
-            self.contains_point(l) and self.contains_point(vneg(l))
-            for l in other.lineality
-        )
-
     def intersect(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch("intersecting cones of different ambient dimension")

@@ -4,10 +4,19 @@ subdivisions from lifted lower hulls, and the orbit-face correspondence.
 The lifted set conv{(u_j, lam) : lam >= a_j} is homogenized to a cone in
 R^(n+2) with coordinates (x, lam, t); its vertical recession ray (0, 1, 0)
 lies on every facet except the lower ones, so the lower facets are exactly
-the facets whose inward normal has a positive lam-coefficient.  A worked 1-d
-example: A = (0, 1, 2), a = (1, 0, 1) lifts to (0,1), (1,0), (2,1); the two
-lower edges have inward normals (1, 1, 0) and (-1, 1, 2) (positive lam part),
-while the top side of the hull is only supported by normals with lam <= 0.
+the facets whose inward normal has a positive lam-coefficient, and the other
+facets (lam-coefficient 0) are vertical.  Everything is read off this one
+hull, with no further double description run:
+
+- each lower facet F gives an affine function ell_F = <phi, x> + beta, and
+  the lower envelope, being convex, is the maximum of the ell_F over the
+  weight polytope; so finite j lies in the cell of F iff ell_F(u_j) equals
+  the maximum of ell_F'(u_j) over all lower facets F';
+- every face of the subdivision is a face of the lifted polyhedron inside a
+  lower facet, hence an intersection of facets, one of them lower; so the
+  face index sets are the closure of the cell index sets under intersection
+  with each other and with the point-index sets of the vertical facets;
+- a face with index set I has dimension rank{(u_j, 1) : j in I} - 1.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, ValueNotInGamma
-from .linalg import vdot, vec
+from .linalg import rank, vdot, vec
 from .ordfield import FE_ONE, FE_ZERO, FieldElement, ValueGroup, as_fe
 from .polyhedra import Cone
 
@@ -193,6 +202,7 @@ def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
 
     A cell's index set contains every finite-height j whose point lies in the
     projected facet as a polyhedron, not only the lifted-hull vertices.
+    Cells, faces and dimensions are read off this one hull (module notes).
     """
     n = cfg.n
     finite = cfg.finite_indices()
@@ -204,48 +214,41 @@ def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
     ]
     hull = Cone.from_rays(n + 2, rays)
 
-    cells = []
-    certs = {}
+    lower = []
+    vertical = []
     for normal in hull.facets:
+        tight = tuple(j for j in finite if not vdot(normal, lifted[j]))
         c = normal[n]
-        if c.sign() <= 0:
+        if c.sign() == 0:
+            vertical.append(frozenset(tight))
             continue
-        tight = tuple(
-            j for j in finite if not vdot(normal, lifted[j])
-        )
         phi = tuple(-x / c for x in normal[:n])
         beta = -normal[n + 1] / c
-        member = Cone.from_rays(
-            n + 1, [vec(cfg.points[j]) + (FE_ONE,) for j in tight]
-        )
-        cell = tuple(
-            j
-            for j in finite
-            if j in tight
-            or member.contains_point(vec(cfg.points[j]) + (FE_ONE,))
-        )
-        if cell not in certs:
-            cells.append(cell)
-            certs[cell] = CellCertificate(phi, beta, tight)
-    cells.sort()
+        ell = {j: vdot(phi, lifted[j][:n]) + beta for j in finite}
+        lower.append((CellCertificate(phi, beta, tight), ell))
 
-    # face closure: faces of the cone over each cell, keyed by index set
+    # the lower envelope is the maximum of the lower facets' affine functions
+    envelope = {j: max(ell[j] for _, ell in lower) for j in finite}
+    certs = {}
+    for cert, ell in lower:
+        certs[tuple(j for j in finite if ell[j] == envelope[j])] = cert
+    cells = sorted(certs)
+
+    # faces: cells closed under intersection with cells and vertical facets
+    cuts = [frozenset(cell) for cell in cells] + vertical
+    found = set(cuts[:len(cells)])
+    todo = list(found)
+    while todo:
+        cur = todo.pop()
+        for z in cuts:
+            face = cur & z
+            if face and face not in found:
+                found.add(face)
+                todo.append(face)
     faces = {}
-    for cell in cells:
-        over = Cone.from_rays(
-            n + 1, [vec(cfg.points[j]) + (FE_ONE,) for j in cell]
-        )
-        kfaces, _ = over.face_lattice()
-        for f in kfaces:
-            if f.is_trivial():
-                continue
-            idx = tuple(
-                j
-                for j in cell
-                if f.contains_point(vec(cfg.points[j]) + (FE_ONE,))
-            )
-            dim = f.intrinsic_dim() - 1
-            faces.setdefault(idx, dim)
+    for face in found:
+        idx = tuple(sorted(face))
+        faces[idx] = rank([lifted[j][:n] + (FE_ONE,) for j in idx], n + 1) - 1
 
     ordered = sorted(faces.items(), key=lambda kv: _face_sort_key(kv[1], kv[0]))
     face_list = tuple(idx for idx, _ in ordered)

@@ -332,3 +332,93 @@ def _random_group_element(rng, gamma):
     if gamma is G_SIXTH:
         return fe(Fr(rng.randint(-12, 12), 6))
     return fe(rng.randint(-2, 2), rng.randint(-2, 2), 2)
+
+
+def random_heighted_config(rng):
+    """One random heighted configuration in rank 1 or 2: a grid, scattered
+    points (repeats allowed), a collinear set or a single point, with heights
+    in Q or Q(sqrt 2), some infinite (None) and sometimes all equal."""
+    n = rng.choice([1, 2])
+    kind = rng.choice(["grid", "grid", "scattered", "scattered", "collinear",
+                       "single"])
+    if kind == "grid":
+        m = rng.randint(2, 4)
+        pts = [(i,) for i in range(m + 1)] if n == 1 else [
+            (i, j) for i in range(m) for j in range(rng.randint(2, 3))
+        ]
+    elif kind == "single":
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n))]
+    elif kind == "collinear":
+        step = tuple(rng.randint(-2, 2) for _ in range(n))
+        if not any(step):
+            step = (1,) * n
+        pts = [tuple(t * x for x in step) for t in range(rng.randint(2, 5))]
+    else:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n))
+               for _ in range(rng.randint(3, 9))]
+    quadratic = rng.random() < 0.4
+
+    def height():
+        if quadratic:
+            return fe(rng.randint(-4, 4), rng.randint(-3, 3), 2)
+        return fe(Fr(rng.randint(-12, 12), rng.choice([1, 2, 3])))
+
+    if rng.random() < 0.1:
+        heights = [height()] * len(pts)
+    else:
+        heights = [None if rng.random() < 0.15 else height() for _ in pts]
+    if all(h is None for h in heights):
+        heights[rng.randrange(len(pts))] = height()
+    return HeightedConfig(n, pts, heights)
+
+
+def random_grid_fan_cones(rng):
+    """Input cones of a random fan over Z or (1/6)Z: the cones over the boxes
+    of an m x m grid with random integer breakpoints, shuffled, with a few
+    faces of them inserted as further inputs."""
+    m = rng.randint(1, 3)
+    gamma, unit = rng.choice([(G_Z, Fr(1)), (G_SIXTH, Fr(1, 6))])
+    xs, ys = [0], [0]
+    for _ in range(m):
+        xs.append(xs[-1] + rng.randint(1, 3))
+        ys.append(ys[-1] + rng.randint(1, 3))
+    cones = []
+    for i in range(m):
+        for j in range(m):
+            lo, hi = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
+            hss = []
+            for a in range(2):
+                e = tuple(1 if b == a else 0 for b in range(2))
+                hss.append(HalfSpace(e, -lo[a] * unit))
+                hss.append(HalfSpace(tuple(-x for x in e), hi[a] * unit))
+            cones.append(make_admissible(2, hss, gamma))
+    rng.shuffle(cones)
+    for _ in range(rng.randint(0, 3)):
+        face = rng.choice(rng.choice(cones).faces()[0])
+        cones.insert(rng.randint(0, len(cones)), face)
+    return cones
+
+
+def random_rational_fan_rays(rng):
+    """Ray lists of a random pointed fan in R^2: consecutive pairs of random
+    primitive directions in angular order span the two-dimensional cones
+    (some dropped), and some rays also come as one-ray inputs."""
+    import math
+
+    dirs = set()
+    count = rng.randint(1, 8)
+    while len(dirs) < count:
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if any(v):
+            g = math.gcd(*v)
+            dirs.add((v[0] // g, v[1] // g))
+    dirs = sorted(dirs, key=lambda v: math.atan2(v[1], v[0]))
+    cones = []
+    for a, b in zip(dirs, dirs[1:] + dirs[:1]):
+        if a[0] * b[1] - a[1] * b[0] > 0 and rng.random() < 0.8:
+            cones.append([a, b])
+    for r in dirs:
+        if rng.random() < 0.3:
+            cones.append([r])
+    rng.shuffle(cones)
+    return cones or [[dirs[0]]]

@@ -3,8 +3,9 @@
 Each oracle reimplements the quantity under test with a different algorithm
 (interval arithmetic, exhaustive subset enumeration, brute-force coefficient
 search) so that agreement is meaningful evidence rather than a tautology.
-Only FieldElement arithmetic is borrowed from the package; every algorithm
-here is deliberately naive.
+Only FieldElement arithmetic is borrowed from the package, apart from
+cell_cone_faces, which takes the long way through one kernel cone per lower
+facet and per cell; every algorithm here is deliberately naive.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from toricval import FieldElement, fe
+from toricval import Cone, FieldElement, fe
 
 # -- interval-arithmetic sign -----------------------------------------------
 
@@ -247,3 +248,74 @@ def faces_of_cells_1d(cells, points):
         faces.add(tuple(j for j in c if points[j][0] == lo))
         faces.add(tuple(j for j in c if points[j][0] == hi))
     return sorted(faces, key=lambda f: (-len(f), f))
+
+
+# -- regular subdivisions, one cone per cell ------------------------------------
+
+
+def cell_cone_faces(cfg):
+    """Cells, faces, face dimensions and poset of the regular subdivision,
+    with one cone per lower facet and per cell.
+
+    Each lower facet of the lifted hull (positive lam-coefficient) gives a
+    cell: every finite index whose point (u_j, 1) lies in the cone over the
+    facet's tight points.  The faces are the nontrivial faces of the cone
+    over each cell's points, each keyed by the cell indices it contains, of
+    dimension one less than the face's.  Ordered as weight_subdivision
+    orders them: cells sorted, faces by decreasing dimension then index
+    tuple, poset as strict index-set inclusions.
+    """
+    n = cfg.n
+    fin = cfg.finite_indices()
+    one, zero = fe(1), fe(0)
+    point = {j: tuple(fe(x) for x in cfg.points[j]) + (one,) for j in fin}
+    lifted = {j: point[j][:n] + (cfg.heights[j], one) for j in fin}
+    hull = Cone.from_rays(
+        n + 2, list(lifted.values()) + [(zero,) * n + (one, zero)])
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), zero)
+
+    cells = set()
+    for normal in hull.facets:
+        if normal[n].sign() <= 0:
+            continue
+        tight = [j for j in fin if dot(normal, lifted[j]).sign() == 0]
+        member = Cone.from_rays(n + 1, [point[j] for j in tight])
+        cells.add(tuple(j for j in fin if member.contains_point(point[j])))
+    cells = sorted(cells)
+
+    faces = {}
+    for cell in cells:
+        over = Cone.from_rays(n + 1, [point[j] for j in cell])
+        for f in over.face_lattice()[0]:
+            if f.is_trivial():
+                continue
+            idx = tuple(j for j in cell if f.contains_point(point[j]))
+            faces[idx] = f.intrinsic_dim() - 1
+    order = sorted(faces, key=lambda idx: (-faces[idx], idx))
+    poset = [(i, j) for i, a in enumerate(order) for j, b in enumerate(order)
+             if set(a) < set(b)]
+    return cells, order, [faces[idx] for idx in order], poset
+
+
+# -- inclusion between cones --------------------------------------------------------
+
+
+def brute_inclusion(cones):
+    """Strict inclusions (i, j), cones[i] inside cones[j] and not equal to
+    it: every ray and lineality direction of cones[i] (both signs) passes
+    every facet sign and equation of cones[j]."""
+    zero = fe(0)
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), zero)
+
+    def inside(a, b):
+        gens = list(a.rays) + list(a.lineality) + [
+            tuple(-x for x in l) for l in a.lineality]
+        return all(dot(f, g).sign() >= 0 for f in b.facets for g in gens) and all(
+            dot(e, g).sign() == 0 for e in b.equations for g in gens)
+
+    return [(i, j) for i, a in enumerate(cones) for j, b in enumerate(cones)
+            if i != j and inside(a, b) and not inside(b, a)]

@@ -1,8 +1,13 @@
 """Fans, slice complexes, recession fans, and product fans.
 
 Expected cone counts and posets are hand-derived from the defining data;
-the product/recession round trip is checked for exact fan equality.
+the product/recession round trip is checked for exact fan equality.  On
+random grid fans and random rational fans, posets and maximal cones are
+checked against a facet-sign inclusion test.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -17,7 +22,10 @@ from catalog import (
     fan_f1_cones,
     fan_f2_cones,
     nonfan_cones,
+    random_grid_fan_cones,
+    random_rational_fan_rays,
 )
+from oracles import brute_inclusion
 from toricval import (
     DimensionMismatch,
     FieldMismatch,
@@ -27,6 +35,7 @@ from toricval import (
     fan_from_cones,
     fe,
     make_admissible,
+    polyhedra,
     product_fan,
     rational_fan_from_cones,
     recession_fan,
@@ -206,3 +215,65 @@ def test_fan_finite_type_dense_group():
     assert fan_finite_type(good)
     bad = fan_from_cones([build("C2")])
     assert not fan_finite_type(bad)
+
+
+# -- posets against the facet-sign inclusion oracle -------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fan_posets_match_brute_inclusion(seed):
+    inputs = random_grid_fan_cones(random.Random(seed))
+    fan = fan_from_cones(inputs)
+    assert list(fan.poset) == brute_inclusion([c.cone for c in fan.all_cones])
+
+    uniq = list({c.key(): c.cone for c in inputs}.values())
+    covered = {i for i, _ in brute_inclusion(uniq)}
+    expected = sorted((uniq[i] for i in range(len(uniq)) if i not in covered),
+                      key=lambda c: (c.intrinsic_dim(), c.key()))
+    assert [c.cone for c in fan.maximal_cones] == expected
+
+    sc = slice_complex(fan)
+    by_cell = {ac.slice().key(): ac.cone
+               for ac in fan.all_cones if ac.slice() is not None}
+    assert list(sc.poset) == brute_inclusion(
+        [by_cell[cell.key()] for cell in sc.cells])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rational_fan_poset_matches_brute_inclusion(seed):
+    pi = rational_fan_from_cones(2, random_rational_fan_rays(random.Random(seed)))
+    assert list(pi.poset) == brute_inclusion(list(pi.cones))
+
+
+def test_input_face_of_another_input_is_not_maximal():
+    cones = fan_f2_cones()
+    faces = cones[1].faces()[0]
+    fan = fan_from_cones(faces[1:2] + cones + faces[-2:-1])
+    assert fan == fan_from_cones(cones)
+    assert [c.key() for c in fan.maximal_cones] == [
+        c.key() for c in fan_from_cones(cones).maximal_cones]
+    assert list(fan.poset) == brute_inclusion([c.cone for c in fan.all_cones])
+
+
+# -- double description runs --------------------------------------------------------
+
+
+def _count_dd_runs(monkeypatch):
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_fan_one_dd_run_per_distinct_pair(monkeypatch):
+    inputs = random_grid_fan_cones(random.Random(5))
+    inputs.append(inputs[0])
+    distinct = sum(1 for a, b in itertools.combinations(inputs, 2)
+                   if a.key() != b.key())
+    calls = _count_dd_runs(monkeypatch)
+    fan = fan_from_cones(inputs)
+    assert len(calls) == distinct
+    del calls[:]
+    slice_complex(fan)
+    assert calls == []

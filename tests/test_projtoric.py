@@ -1,17 +1,22 @@
 """Weight polytopes, regular subdivisions, certificates, and orbits.
 
 Cells are cross-checked against a brute-force lower-envelope oracle in
-dimension one; certificates are re-verified pointwise; the orbit
-correspondence is checked to be a poset isomorphism on all face pairs.
+dimension one, and cells, faces, dimensions and posets against one cone per
+lower facet and per cell on random configurations; certificates are
+re-verified pointwise; the orbit correspondence is checked to be a poset
+isomorphism on all face pairs.
 """
 
 import itertools
+import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalog import CONFIGS, G_S2, G_Z, SQRT2
-from oracles import faces_of_cells_1d, lower_cells_1d
+from catalog import CONFIGS, G_S2, G_Z, SQRT2, random_heighted_config
+from oracles import cell_cone_faces, faces_of_cells_1d, lower_cells_1d
 from toricval import (
     Cone,
     HeightedConfig,
@@ -19,9 +24,22 @@ from toricval import (
     fe,
     heights_from_valuations,
     orbit_correspondence,
+    polyhedra,
     weight_polytope,
     weight_subdivision,
 )
+
+# seeded draws of the generator the property test below draws from
+RANDOM_CONFIGS = {
+    f"random-{seed}": random_heighted_config(random.Random(seed))
+    for seed in range(16)
+}
+
+
+def _config(name):
+    if name in RANDOM_CONFIGS:
+        return RANDOM_CONFIGS[name]
+    return CONFIGS[name]()
 
 
 # -- configuration validation -------------------------------------------------
@@ -148,9 +166,9 @@ def _ell(cert, point):
     return val
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(RANDOM_CONFIGS))
 def test_certificates_bound_heights(name):
-    cfg = CONFIGS[name]()
+    cfg = _config(name)
     sub = weight_subdivision(cfg)
     for cell, cert in sub.certificates.items():
         for j in cfg.finite_indices():
@@ -159,9 +177,9 @@ def test_certificates_bound_heights(name):
             assert (diff.sign() == 0) == (j in cert.tight), (name, cell, j)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(RANDOM_CONFIGS))
 def test_cells_cover_weight_polytope(name):
-    cfg = CONFIGS[name]()
+    cfg = _config(name)
     sub = weight_subdivision(cfg)
     n = cfg.n
     fin = cfg.finite_indices()
@@ -175,14 +193,12 @@ def test_cells_cover_weight_polytope(name):
                 for i in range(n)
             )
             samples.append(pt)
+    hulls = [
+        Cone.from_rays(n + 1, [tuple(cfg.points[j]) + (1,) for j in cell])
+        for cell in sub.cells
+    ]
     for pt in samples:
-        hit = False
-        for cell in sub.cells:
-            lifted = [tuple(cfg.points[j]) + (1,) for j in cell]
-            hull = Cone.from_rays(n + 1, lifted)
-            if hull.contains_point(tuple(pt) + (Fr(1),)):
-                hit = True
-                break
+        hit = any(h.contains_point(tuple(pt) + (Fr(1),)) for h in hulls)
         assert hit, (name, pt)
 
 
@@ -204,6 +220,36 @@ def test_pairwise_cells_meet_in_common_face(name):
         face = match[0]
         assert inter.is_face_of(cones[a]) and inter.is_face_of(cones[b])
         assert set(face) <= set(a) and set(face) <= set(b)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1).map(
+    lambda seed: random_heighted_config(random.Random(seed))))
+def test_subdivision_matches_cell_cone_oracle(cfg):
+    sub = weight_subdivision(cfg)
+    cells, faces, dims, poset = cell_cone_faces(cfg)
+    assert list(sub.cells) == cells
+    assert list(sub.faces) == faces
+    assert list(sub.face_dims) == dims
+    assert list(sub.poset) == poset
+    xs = {cfg.points[j] for j in cfg.finite_indices()}
+    if cfg.n == 1 and len(xs) > 1:
+        assert list(sub.cells) == lower_cells_1d(cfg.points, cfg.heights)
+
+
+def test_weight_subdivision_two_dd_runs(monkeypatch):
+    # one for the lifted hull, one for weight_polytope; cells and faces are
+    # read off the hull's incidences
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = HeightedConfig(
+        2, [(i, j) for i in range(3) for j in range(3)],
+        [fe((i * i + 2 * j * j) % 5) for i in range(3) for j in range(3)])
+    sub = weight_subdivision(cfg)
+    assert len(sub.cells) > 2
+    assert len(calls) == 2
 
 
 def test_shift_invariance():
