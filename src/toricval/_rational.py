@@ -23,11 +23,9 @@ def qfloor(x) -> int:
 
 
 def qsign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    # the denominator is positive, so the numerator carries the sign
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def qstr(x) -> str:

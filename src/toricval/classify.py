@@ -24,7 +24,7 @@ from .admissible import (
 from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
 from .lp import INFEASIBLE, UNBOUNDED, solve_min
 from .linalg import rank, vec
-from .ordfield import FE_ZERO, FieldElement, as_fe
+from .ordfield import FE_ZERO, FieldElement
 from .polyhedra import HalfSpace
 
 
@@ -60,7 +60,7 @@ class RationalRepresentation:
                 return False
             for i in range(n):
                 acc_u[i] += lam * e.u[i]
-            acc_g = acc_g + as_fe(lam) * e.g
+            acc_g = acc_g + lam * e.g
         if self.kappa.sign() < 0:
             return False
         acc_g = acc_g + self.kappa
@@ -98,10 +98,13 @@ def rationalize(target, gens: GeneratorSet) -> RationalRepresentation:
         raise NotInCone((target.u, target.g))
     out = []
     for x in lam:
-        assert x.q == 0, "basic solution of a rational system must be rational"
+        if x.d is not None:
+            raise AssertionError("basic solution of a rational system must be rational")
         out.append(x.p)
     rep = RationalRepresentation(target, tuple(out), kappa)
-    assert rep.check(gens)
+    if not rep.check(gens):
+        raise AssertionError(
+            f"rational representation of ({target.u}, {target.g}) fails its check")
     return rep
 
 
@@ -123,7 +126,7 @@ def _gamma_grid(gamma, bound):
         total = FE_ZERO
         for c, g in zip(coeffs, gamma.generators):
             if c:
-                total = total + as_fe(c) * g
+                total = total + c * g
         vals.add(total)
     return sorted(vals)
 
@@ -167,7 +170,7 @@ class _MembershipSearch:
             c += 1
         ok = False
         for cc in range(c, -1, -1):
-            if self._residual_ok(r - as_fe(cc) * coin, i + 1):
+            if self._residual_ok(r - cc * coin, i + 1):
                 ok = True
                 break
         self._residual_cache[key] = ok
@@ -191,7 +194,7 @@ class _MembershipSearch:
         e = self.gens[i]
         for c in range(self.hcap + 1):
             nu = tuple(a + c * x for a, x in zip(acc_u, e.u))
-            ng = acc_g + as_fe(c) * e.g if c else acc_g
+            ng = acc_g + c * e.g if c else acc_g
             if self._search(i + 1, nu, ng, u, g):
                 return True
         return False
@@ -226,7 +229,7 @@ def saturation_check(gens: GeneratorSet, bounds):
                 continue
             for k in range(2, k_max + 1):
                 ku = tuple(k * x for x in u)
-                kg = as_fe(k) * g
+                kg = k * g
                 if search.member(ku, kg) and not search.member(u, g):
                     return Witness(u, g, k)
     return None

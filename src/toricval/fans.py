@@ -264,7 +264,8 @@ def product_fan(pi, gamma: ValueGroup) -> Fan:
             n + 1,
             [r + (FE_ZERO,) for r in c.rays] + [vec(vertical_normal(n))],
         )
-        assert ac.cone == expected, "lifted cone disagrees with lifted rays"
+        if ac.cone != expected:
+            raise AssertionError("lifted cone disagrees with lifted rays")
         lifted.append(ac)
     return fan_from_cones(lifted)
 

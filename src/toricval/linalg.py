@@ -6,9 +6,9 @@ pivoting heuristic to tune because there is no rounding.
 
 from __future__ import annotations
 
-from ._rational import qgcd
+from ._rational import QZERO, qgcd
 from .errors import DimensionMismatch
-from .ordfield import FE_ZERO, as_fe
+from .ordfield import FE_ZERO, _make, as_fe
 
 
 def vec(entries):
@@ -18,11 +18,19 @@ def vec(entries):
 def vdot(a, b):
     if len(a) != len(b):
         raise DimensionMismatch(f"dot of length {len(a)} with {len(b)}")
+    # over Q, sum the rational parts; the sum starts at Q(0) so it stays in Q
+    total = QZERO
+    for x, y in zip(a, b):
+        if x.d is not None or y.d is not None:
+            break
+        if x.p and y.p:
+            total += x.p * y.p
+    else:
+        return _make(total, QZERO, None)
     total = FE_ZERO
     for x, y in zip(a, b):
-        if x.p or x.q:
-            if y.p or y.q:
-                total = total + x * y
+        if x and y:
+            total = total + x * y
     return total
 
 

@@ -87,7 +87,8 @@ def solve_min(A, b, costs):
     basis = [k + i for i in range(m)]
     phase1_costs = [FE_ZERO] * k + [FE_ONE] * m
     status = _run_phase(tab, basis, phase1_costs, k + m)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    if status != OPTIMAL:  # phase 1 is bounded below by 0
+        raise AssertionError(f"phase 1 ended {status}")
     total = FE_ZERO
     for i in range(m):
         if basis[i] >= k:

@@ -5,6 +5,14 @@ p + q*sqrt(d) with p, q exact rationals and d a fixed square-free integer >= 2.
 Signs, comparisons and group membership are all decided exactly; nothing in
 here ever rounds.
 
+Every FieldElement keeps one invariant: p and q are instances of ``Q``, and d
+is None exactly when q == 0, so a rational value is always (p, Q(0), None).
+The public constructor ``FieldElement(p, q, d)`` (and ``fe``) coerces outside
+input into that form and rejects q != 0 without d.  Arithmetic results are
+built by the private ``_make``, which skips the coercion and trusts the
+invariant; only this module's arithmetic and coercion and the kernel loops of
+``linalg`` may call it.
+
 A value group is a finitely generated subgroup of the reals inside such a
 field.  Writing its generators as coordinate vectors (p, q) over Q turns it
 into a rank <= 2 integer lattice after clearing denominators, so membership
@@ -16,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._rational import Q, qgcd, qsign
+from ._rational import QZERO, Q, qgcd, qsign
 
 from .errors import FieldMismatch
 
@@ -52,16 +60,19 @@ class FieldDescriptor:
 RATIONALS = FieldDescriptor(None)
 
 
-def _merge_d(d1: int | None, d2: int | None) -> int | None:
-    if d1 is None:
+def _merge_d(d1: int | None, d2: int) -> int:
+    """The radicand of an operation on any operand and an irrational one."""
+    if d1 is None or d1 == d2:
         return d2
-    if d2 is None or d1 == d2:
-        return d1
     raise FieldMismatch(f"cannot mix sqrt({d1}) and sqrt({d2}) elements")
 
 
 class FieldElement:
-    """p + q*sqrt(d), exact.  Elements with q = 0 are plain rationals (d = None)."""
+    """p + q*sqrt(d), exact.  Elements with q = 0 are plain rationals (d = None).
+
+    The public constructor coerces p and q to Q; see the module docstring for
+    the invariant that arithmetic results keep.
+    """
 
     __slots__ = ("p", "q", "d")
 
@@ -72,65 +83,94 @@ class FieldElement:
             d = None
         elif d is None:
             raise ValueError("irrational part present but no d given")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
+        self.p = p
+        self.q = q
+        self.d = d
 
     @property
     def field(self) -> FieldDescriptor:
         return RATIONALS if self.d is None else FieldDescriptor(self.d)
 
     def is_rational(self) -> bool:
-        return self.q == 0
+        return self.d is None
 
     # -- arithmetic ---------------------------------------------------------
+    # Each operation coerces by exact type first.  When an operand is rational
+    # its irrational part is zero, so the result needs only the Q operations
+    # on the other parts, and the invariant carries over without a check.
 
     def __add__(self, other):
-        other = as_fe(other)
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if other.d is None:
+            return _make(self.p + other.p, self.q, self.d)
+        if self.d is None:
+            return _make(self.p + other.p, other.q, other.d)
         d = _merge_d(self.d, other.d)
-        return FieldElement(self.p + other.p, self.q + other.q, d)
+        q = self.q + other.q
+        return _make(self.p + other.p, q, d if q else None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_fe(other)
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if other.d is None:
+            return _make(self.p - other.p, self.q, self.d)
+        if self.d is None:
+            return _make(self.p - other.p, -other.q, other.d)
         d = _merge_d(self.d, other.d)
-        return FieldElement(self.p - other.p, self.q - other.q, d)
+        q = self.q - other.q
+        return _make(self.p - other.p, q, d if q else None)
 
     def __rsub__(self, other):
         return as_fe(other).__sub__(self)
 
     def __mul__(self, other):
-        other = as_fe(other)
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if other.d is None:
+            if self.d is None:
+                return _make(self.p * other.p, QZERO, None)
+            return self._scaled(other.p)
+        if self.d is None:
+            return other._scaled(self.p)
         d = _merge_d(self.d, other.d)
-        if d is None:
-            return FieldElement(self.p * other.p)
-        return FieldElement(
-            self.p * other.p + self.q * other.q * d,
-            self.p * other.q + self.q * other.p,
-            d,
-        )
+        q = self.p * other.q + self.q * other.p
+        return _make(self.p * other.p + self.q * other.q * d, q, d if q else None)
 
     __rmul__ = __mul__
 
+    def _scaled(self, r):
+        """self * r for r in Q and self irrational."""
+        if not r:
+            return FE_ZERO
+        return _make(self.p * r, self.q * r, self.d)
+
     def __truediv__(self, other):
-        other = as_fe(other)
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if other.d is None:
+            r = other.p
+            if not r:
+                raise ZeroDivisionError("field element division by zero")
+            if self.d is None:
+                return _make(self.p / r, QZERO, None)
+            return _make(self.p / r, self.q / r, self.d)
         d = _merge_d(self.d, other.d)
-        if other.p == 0 and other.q == 0:
-            raise ZeroDivisionError("field element division by zero")
-        if d is None:
-            return FieldElement(self.p / other.p)
         # multiply by the conjugate; the norm is nonzero since sqrt(d) is irrational
         norm = other.p * other.p - other.q * other.q * d
-        np = (self.p * other.p - self.q * other.q * d) / norm
-        nq = (self.q * other.p - self.p * other.q) / norm
-        return FieldElement(np, nq, d)
+        q = (self.q * other.p - self.p * other.q) / norm
+        return _make((self.p * other.p - self.q * other.q * d) / norm, q,
+                     d if q else None)
 
     def __rtruediv__(self, other):
         return as_fe(other).__truediv__(self)
 
     def __neg__(self):
-        return FieldElement(-self.p, -self.q, self.d)
+        if self.d is None:
+            return _make(-self.p, QZERO, None)
+        return _make(-self.p, -self.q, self.d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -138,7 +178,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        out = FieldElement(1)
+        out = FE_ONE
         base = self
         while n:
             if n & 1:
@@ -151,7 +191,7 @@ class FieldElement:
 
     def sign(self) -> int:
         sp = qsign(self.p)
-        if self.q == 0:
+        if self.d is None:
             return sp
         sq = qsign(self.q)
         if sp == 0:
@@ -166,35 +206,53 @@ class FieldElement:
         return sp if left > right else sq
 
     def __eq__(self, other):
-        try:
-            other = as_fe(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if self.q != 0 and other.q != 0 and self.d != other.d:
+        if type(other) is not FieldElement:
+            try:
+                other = as_fe(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        # with the invariant, equal elements have equal d
+        if self.d != other.d:
             return False
-        return self.p == other.p and self.q == other.q
+        return self.p == other.p and (self.d is None or self.q == other.q)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __lt__(self, other):
-        return (self - as_fe(other)).sign() < 0
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if self.d is None and other.d is None:
+            return self.p < other.p
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - as_fe(other)).sign() <= 0
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if self.d is None and other.d is None:
+            return self.p <= other.p
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - as_fe(other)).sign() > 0
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if self.d is None and other.d is None:
+            return self.p > other.p
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - as_fe(other)).sign() >= 0
+        if type(other) is not FieldElement:
+            other = as_fe(other)
+        if self.d is None and other.d is None:
+            return self.p >= other.p
+        return (self - other).sign() >= 0
 
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 
     def __bool__(self):
-        return self.p != 0 or self.q != 0
+        return self.d is not None or bool(self.p)
 
     # -- presentation --------------------------------------------------------
 
@@ -229,11 +287,33 @@ class FieldElement:
         return f"FieldElement({self.p!r}, {self.q!r}, d={self.d})"
 
 
-def as_fe(x, d: int | None = None) -> FieldElement:
+_new = object.__new__
+
+
+def _make(p, q, d) -> FieldElement:
+    """Trusted constructor: p and q must be Q instances, d None iff q == 0.
+
+    Only this module's arithmetic and coercion and ``linalg.vdot`` call it,
+    on values already in that form; outside input goes through
+    ``FieldElement(p, q, d)``.
+    """
+    x = _new(FieldElement)
+    x.p = p
+    x.q = q
+    x.d = d
+    return x
+
+
+def as_fe(x) -> FieldElement:
     """Coerce an int, rational, or FieldElement to a FieldElement."""
-    if isinstance(x, FieldElement):
+    t = type(x)
+    if t is FieldElement:
         return x
-    return FieldElement(Q(x), 0, None) if d is None else FieldElement(Q(x), 0, d)
+    if t is int:
+        return _make(Q(x), QZERO, None)
+    if t is Q:
+        return _make(x, QZERO, None)
+    return FieldElement(x)
 
 
 def fe(p, q=0, d: int | None = None) -> FieldElement:

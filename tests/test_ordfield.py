@@ -1,24 +1,32 @@
 """Exact field arithmetic and value-group tests.
 
 Sign correctness is cross-checked against interval arithmetic (an
-independent numeric route); group membership against brute-force integer
-combinations of the generators.
+independent numeric route); arithmetic against plain Fraction arithmetic on
+(p, q) pairs; group membership against brute-force integer combinations of
+the generators.
 """
 
+import operator
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catalog import G_S2, G_SIXTH, G_TRIV, G_Z
 from oracles import interval_sign
 from toricval import (
     FieldDescriptor,
+    FieldElement,
     FieldMismatch,
     ValueGroup,
+    as_fe,
     fe,
     sqrtd,
 )
+from toricval._rational import Q
+from toricval.linalg import vdot
 
 S2 = sqrtd(2)
 
@@ -71,6 +79,167 @@ def test_d_must_be_square_free():
     with pytest.raises(ValueError):
         FieldDescriptor(12)
     assert FieldDescriptor(6).d == 6
+
+
+# -- arithmetic against (p, q) pairs -----------------------------------------
+# Operands are ints, Fractions and field elements of Q or Q(sqrt(d)), on
+# either side of the operator; the reference is Fraction arithmetic on the
+# pair (p, q) standing for p + q*sqrt(d), and interval_sign for order.
+
+def prop(n):
+    return settings(max_examples=n, derandomize=True, deadline=None, database=None)
+
+
+RATS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def operand(draw, d):
+    kind = draw(st.sampled_from(["int", "fraction", "rational", "field"]))
+    if kind == "int":
+        return draw(st.integers(-20, 20))
+    p = draw(RATS)
+    if kind == "fraction":
+        return p
+    if kind == "rational":
+        return fe(p)
+    return fe(p, draw(RATS), d)
+
+
+@st.composite
+def operands(draw):
+    """(d, a, b) with d in {2, 3} and at least one of a, b a FieldElement."""
+    d = draw(st.sampled_from([2, 3]))
+    a, b = draw(operand(d)), draw(operand(d))
+    if not isinstance(a, FieldElement) and not isinstance(b, FieldElement):
+        if draw(st.booleans()):
+            a = fe(a)
+        else:
+            b = fe(b)
+    return d, a, b
+
+
+def pair(x):
+    if isinstance(x, FieldElement):
+        return x.p, x.q
+    return Fr(x), Fr(0)
+
+
+def pair_mul(a, b, d):
+    return a[0] * b[0] + a[1] * b[1] * d, a[0] * b[1] + a[1] * b[0]
+
+
+def pair_div(a, b, d):
+    norm = b[0] * b[0] - b[1] * b[1] * d
+    return (a[0] * b[0] - a[1] * b[1] * d) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
+
+
+def assert_exact(x, ref, d):
+    """x is the field element ref = (p, q) of Q(sqrt(d)), in canonical form."""
+    assert type(x) is FieldElement
+    assert type(x.p) is Q and type(x.q) is Q
+    assert (x.d is None) == (x.q == 0)
+    assert x.d in (None, d)
+    assert (x.p, x.q) == ref
+    assert x.sign() == interval_sign(ref[0], ref[1], d)
+
+
+@prop(300)
+@given(operands())
+def test_arithmetic_matches_pair_reference(case):
+    d, a, b = case
+    pa, pb = pair(a), pair(b)
+    assert_exact(a + b, (pa[0] + pb[0], pa[1] + pb[1]), d)
+    assert_exact(a - b, (pa[0] - pb[0], pa[1] - pb[1]), d)
+    assert_exact(a * b, pair_mul(pa, pb, d), d)
+    if pb == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_exact(a / b, pair_div(pa, pb, d), d)
+    for x, px in ((a, pa), (b, pb)):
+        assert_exact(as_fe(x), px, d)
+        assert_exact(-as_fe(x), (-px[0], -px[1]), d)
+
+
+@prop(100)
+@given(operands(), st.integers(0, 5))
+def test_power_matches_repeated_product(case, n):
+    d, a, b = case
+    x = a if isinstance(a, FieldElement) else b
+    ref = (Fr(1), Fr(0))
+    for _ in range(n):
+        ref = pair_mul(ref, pair(x), d)
+    assert_exact(x ** n, ref, d)
+
+
+ORDER = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@prop(200)
+@given(operands())
+@example((2, fe(1, 1, 2), fe(1, 1, 2)))
+@example((3, fe(Fr(1, 2)), Fr(1, 2)))
+def test_order_equality_and_hash(case):
+    d, a, b = case
+    pa, pb = pair(a), pair(b)
+    s = interval_sign(pa[0] - pb[0], pa[1] - pb[1], d)
+    for op in ORDER:
+        assert op(a, b) == op(s, 0)
+    assert (a == b) == (pa == pb)
+    assert (a != b) == (pa != pb)
+    x, y = fe(pa[0], pa[1], d), fe(pb[0], pb[1], d)
+    if x == y:
+        assert hash(x) == hash(y)
+    for z in (a, b):
+        if isinstance(z, FieldElement):
+            # built by arithmetic or by the public constructor: same value, same hash
+            w = z + 0
+            assert w == z and hash(w) == hash(fe(z.p, z.q, d))
+
+
+@st.composite
+def vectors(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(fe(0)), st.builds(fe, RATS), st.builds(fe, RATS, RATS, st.just(d)))
+    return d, tuple(draw(entry) for _ in range(n)), tuple(draw(entry) for _ in range(n))
+
+
+@prop(150)
+@given(vectors())
+@example((2, (), ()))
+@example((2, (fe(0), fe(3)), (fe(5), fe(0))))
+@example((3, (fe(0), fe(0, 1, 3)), (fe(1), fe(0))))
+def test_vdot_matches_pair_reference(case):
+    d, a, b = case
+    ref = (Fr(0), Fr(0))
+    for x, y in zip(a, b):
+        prod = pair_mul(pair(x), pair(y), d)
+        ref = (ref[0] + prod[0], ref[1] + prod[1])
+    assert_exact(vdot(a, b), ref, d)
+
+
+@prop(50)
+@given(RATS, RATS.filter(bool), RATS, RATS.filter(bool))
+def test_mixed_radicands_raise_field_mismatch(p2, q2, p3, q3):
+    x, y = fe(p2, q2, 2), fe(p3, q3, 3)
+    for op in [operator.add, operator.sub, operator.mul, operator.truediv, *ORDER]:
+        with pytest.raises(FieldMismatch):
+            op(x, y)
+        with pytest.raises(FieldMismatch):
+            op(y, x)
+    assert x != y
+
+
+@pytest.mark.parametrize("zero", [0, Fr(0), fe(0), fe(0, 0, 2)])
+def test_division_by_zero(zero):
+    for x in (fe(3), fe(1, 1, 2), fe(0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+        if isinstance(zero, FieldElement):
+            with pytest.raises(ZeroDivisionError):
+                1 / zero
 
 
 # -- sign ---------------------------------------------------------------------
