@@ -7,6 +7,14 @@ structural constraint s >= 0.  It must not contain a line.
 The dual semigroup S = (dual cone) intersect (M x Gamma) is what the rest of
 the toolkit consumes: minimal heights of characters, membership, and the
 degree-bounded generator enumeration with its cone-equality certificate.
+
+Heights come from one routine on integers: the slice vertices are scaled
+once to integer pairs over a common denominator, and the height
+g(u) = max over vertices V of -<u, V> is found together with the set of
+vertices attaining it.  g is convex (a maximum of linear functions), so
+g(u1) + g(u2) >= g(u1 + u2), with equality exactly when u1 and u2 share a
+maximising vertex; any vertex attaining g(u1 + u2) is then such a shared
+vertex.  The generator enumeration decides decomposability by that rule.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from .errors import (
     HeightUnboundedBelow,
     NotFiniteType,
 )
+from ._rational import Q, qgcd
 from .linalg import canonical_ray, primitive_int_vector, vdot, vec
-from .ordfield import FieldElement, ValueGroup, as_fe
+from .ordfield import FieldElement, ValueGroup, as_fe, pair_sign
 from .polyhedra import Cone, HalfSpace, vertical_normal
 
 
@@ -77,7 +86,7 @@ class AdmissibleCone:
     """
 
     __slots__ = ("n", "gamma", "halfspaces", "cone", "vertical_tight",
-                 "certified", "_slice", "_have_slice")
+                 "certified", "_slice", "_have_slice", "_int_slice")
 
     def __init__(self, n, gamma, halfspaces, cone, vertical_tight=False):
         self.n = n
@@ -88,12 +97,37 @@ class AdmissibleCone:
         self.certified = True
         self._slice = None
         self._have_slice = False
+        self._int_slice = None
 
     def slice(self):
         if not self._have_slice:
             self._slice = slice_at_one(self.cone)
             self._have_slice = True
         return self._slice
+
+    def integer_slice(self):
+        """The slice over a common denominator: (den, d, vertices, rays).
+
+        Each vertex V becomes the pair of integer vectors (P, R) with
+        den * V = P + R*sqrt(d) coordinatewise (R is all zero over Q); rays
+        are the integer recession rays.  None when the slice is empty.
+        """
+        if self._int_slice is None:
+            sl = self.slice()
+            if sl is None:
+                return None
+            den = 1
+            for v in sl.vertices:
+                for x in v:
+                    for part in (x.p, x.q):
+                        k = int(part.denominator)
+                        den = den * k // qgcd(den, k)
+            verts = tuple(
+                (tuple(int(x.p * den) for x in v), tuple(int(x.q * den) for x in v))
+                for v in sl.vertices
+            )
+            self._int_slice = (den, self.gamma.field.d, verts, sl.recession_rays)
+        return self._int_slice
 
     def dual(self):
         return self.cone.dual()
@@ -255,11 +289,37 @@ class HeightResult:
     def infeasible():
         return HeightResult("infeasible")
 
-    def is_value(self):
-        return self.kind == "value"
-
     def is_infeasible(self):
         return self.kind == "infeasible"
+
+
+def _height(isl, u):
+    """(a, b, mask) with den * g(u) = a + b*sqrt(d) and mask the bitmask of
+    the vertices of isl = ac.integer_slice() attaining it, or None when u is
+    negative along a recession ray (no height exists)."""
+    _, d, verts, rays = isl
+    for r in rays:
+        if sum(x * y for x, y in zip(u, r)) < 0:
+            return None
+    best_a = best_b = 0
+    mask = 0
+    for i, (P, R) in enumerate(verts):
+        a = -sum(x * y for x, y in zip(u, P))
+        b = -sum(x * y for x, y in zip(u, R)) if d else 0
+        if not mask:
+            best_a, best_b, mask = a, b, 1
+            continue
+        s = pair_sign(a - best_a, b - best_b, d)
+        if s > 0:
+            best_a, best_b, mask = a, b, 1 << i
+        elif s == 0:
+            mask |= 1 << i
+    return best_a, best_b, mask
+
+
+def _height_value(isl, a, b):
+    den, d, _, _ = isl
+    return FieldElement(Q(a, den), Q(b, den), d)
 
 
 def minimal_height(ac: AdmissibleCone, u) -> HeightResult:
@@ -272,18 +332,13 @@ def minimal_height(ac: AdmissibleCone, u) -> HeightResult:
     u = tuple(int(x) for x in u)
     if len(u) != ac.n:
         raise DimensionMismatch(f"u has length {len(u)}, expected {ac.n}")
-    sl = ac.slice()
-    if sl is None:
+    isl = ac.integer_slice()
+    if isl is None:
         raise HeightUnboundedBelow()
-    ufe = vec(u)
-    for r in sl.recession_rays:
-        if vdot(ufe, vec(r)).sign() < 0:
-            return HeightResult.infeasible()
-    best = None
-    for v in sl.vertices:
-        h = -vdot(ufe, v)
-        if best is None or h > best:
-            best = h
+    h = _height(isl, u)
+    if h is None:
+        return HeightResult.infeasible()
+    best = _height_value(isl, h[0], h[1])
     if ac.gamma.contains(best):
         return HeightResult.value(best)
     return HeightResult.not_attained(best)
@@ -324,37 +379,50 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
     """Degree-bounded generators of the semigroup algebra.
 
     Enumerates exponents u with sup-norm <= bound, keeps the indecomposable
-    (u, g(u)) pairs (splits with exactly additive heights drop the sum), and
-    certifies the result by checking that the generated cone together with the
-    vertical ray equals the dual cone.  Raises BoundTooSmall when the
-    certificate fails.
+    (u, g(u)) pairs, and certifies the result by checking that the generated
+    cone together with the vertical ray equals the dual cone.  Raises
+    BoundTooSmall when the certificate fails.
+
+    (u, g(u)) is dropped when u = u1 + u2 with g(u1) + g(u2) = g(u), both
+    parts in the box.  By convexity of g that holds exactly when u1 and u2
+    both attain their heights at one vertex v attaining g(u), any such v
+    (module docstring); so for one v in u's vertex set only the u1 attaining
+    at v are scanned, and the test is a bitmask lookup.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
     if not is_finite_type(ac):
         raise NotFiniteType(bad_slice_vertices(ac))
-    if ac.slice() is None:
+    isl = ac.integer_slice()
+    if isl is None:
         raise HeightUnboundedBelow()
 
-    heights = {}
+    heights = {}  # u -> (g(u), mask of vertices attaining it)
+    at_vertex = [[] for _ in isl[2]]
     for u in itertools.product(range(-bound, bound + 1), repeat=ac.n):
         if not any(u):
             continue
-        res = minimal_height(ac, u)
-        if res.is_value():
-            heights[u] = res.g
+        h = _height(isl, u)
+        if h is None:
+            continue
+        g = _height_value(isl, h[0], h[1])
         # not_attained exponents (possible over a discrete group whose slice
         # has non-group vertices) have no minimal semigroup element; skipped
+        if not ac.gamma.contains(g):
+            continue
+        mask = h[2]
+        heights[u] = (g, mask)
+        for i in range(len(at_vertex)):
+            if mask >> i & 1:
+                at_vertex[i].append(u)
 
     kept = []
-    for u, g in heights.items():
+    for u, (g, mask) in heights.items():
+        low = mask & -mask
         decomposable = False
-        for u1 in heights:
-            u2 = tuple(a - b for a, b in zip(u, u1))
-            if u2 == u or not any(u2):
-                continue
-            g2 = heights.get(u2)
-            if g2 is not None and heights[u1] + g2 == g:
+        for u1 in at_vertex[low.bit_length() - 1]:
+            h2 = heights.get(tuple(a - b for a, b in zip(u, u1)))
+            if h2 is not None and h2[1] & low:
                 decomposable = True
                 break
         if not decomposable:

@@ -24,7 +24,7 @@ from .admissible import (
 from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
 from .lp import INFEASIBLE, UNBOUNDED, solve_min
 from .linalg import rank, vec
-from .ordfield import FE_ZERO, FieldElement
+from .ordfield import FE_ZERO, FieldElement, pair_sign
 from .polyhedra import HalfSpace
 
 
@@ -132,72 +132,81 @@ def _gamma_grid(gamma, bound):
 
 
 class _MembershipSearch:
-    """Bounded search for natural-number combinations of G plus vertical
-    grid elements.  Soundness is one-way: "found" is a certificate, "not
-    found" means not found within the caps."""
+    """Bounded membership in the semigroup generated by G and the vertical
+    elements (0, v), v > 0 from a grid, for exponents in the box
+    ||t||_inf <= box.
 
-    def __init__(self, gens: GeneratorSet, verts, hcap):
-        self.gens = list(gens)
-        self.verts = sorted((v for v in verts if v.sign() > 0), reverse=True)
-        self.hcap = hcap
-        self.n = gens.n
-        # per-coordinate reach of the remaining generators, for pruning
-        self.suffix = []
-        acc = [0] * self.n
-        for e in reversed(self.gens):
-            acc = [a + hcap * abs(u) for a, u in zip(acc, e.u)]
-            self.suffix.append(tuple(acc))
-        self.suffix.reverse()
-        self.suffix.append(tuple([0] * self.n))
+    A query (t, g) asks for c in [0, hcap]^|G| with sum c_i u_i = t and
+    g - sum c_i g_i a natural combination of the vertical coins.  The
+    reachable set, built once from the generators in order, maps each t in
+    the box to every Gamma-sum sum c_i g_i of such a c, in the group's
+    integer coordinates (ValueGroup.coords).  A partial sum is dropped when
+    some coordinate lies further than the remaining generators can move it
+    (hcap * |u_i| summed over the rest) from every point of the box, a
+    necessary condition for reaching the box, so the state count is at most
+    the number of (t, Gamma-sum) pairs reachable inside that widened box.
+    Soundness is one-way: "found" is a certificate, "not found" means not
+    found within the caps.
+    """
+
+    def __init__(self, gens: GeneratorSet, verts, hcap, box):
+        self.gamma = gens.gamma
+        self.d = gens.gamma.field.d
+        self.box = box
+        self.coins = [self.gamma.coords(v) for v in
+                      sorted((v for v in verts if v.sign() > 0), reverse=True)]
+        elems = [(e.u, self.gamma.coords(e.g)) for e in gens]
+        # per coordinate, the largest |t| after generator i from which the
+        # generators after it can still reach the box
+        rest = [0] * gens.n
+        limits = []
+        for gu, _ in reversed(elems):
+            limits.append(tuple(box + r for r in rest))
+            rest = [r + hcap * abs(x) for r, x in zip(rest, gu)]
+        limits.reverse()
+        states = {tuple([0] * gens.n): {(0, 0)}}
+        for (gu, (gx, gy)), lim in zip(elems, limits):
+            nxt = {}
+            for t, sums in states.items():
+                for c in range(hcap + 1):
+                    nt = tuple(a + c * x for a, x in zip(t, gu))
+                    if any(abs(a) > m for a, m in zip(nt, lim)):
+                        continue
+                    dx, dy = c * gx, c * gy
+                    nxt.setdefault(nt, set()).update(
+                        (x + dx, y + dy) for x, y in sums)
+            states = nxt
+        self.reach = states
         self._residual_cache = {}
-        self._member_cache = {}
 
-    def _residual_ok(self, r, i=0):
-        s = r.sign()
+    def _residual_ok(self, x, y, i=0):
+        """Is x + y*sqrt(d) (group coordinates) a natural combination of the
+        coins from index i on?  Coins are tried largest first, each from its
+        largest count down."""
+        s = pair_sign(x, y, self.d)
         if s == 0:
             return True
-        if s < 0 or i >= len(self.verts):
+        if s < 0 or i >= len(self.coins):
             return False
-        key = (r.p, r.q, i)
+        key = (x, y, i)
         hit = self._residual_cache.get(key)
         if hit is not None:
             return hit
-        coin = self.verts[i]
-        c = 0
-        acc = FE_ZERO
-        while acc + coin <= r:
-            acc = acc + coin
-            c += 1
-        ok = False
-        for cc in range(c, -1, -1):
-            if self._residual_ok(r - cc * coin, i + 1):
-                ok = True
-                break
+        cx, cy = self.coins[i]
+        count = 0
+        while pair_sign(x - (count + 1) * cx, y - (count + 1) * cy, self.d) >= 0:
+            count += 1
+        ok = any(self._residual_ok(x - c * cx, y - c * cy, i + 1)
+                 for c in range(count, -1, -1))
         self._residual_cache[key] = ok
         return ok
 
     def member(self, u, g):
-        key = (u, g.p, g.q)
-        hit = self._member_cache.get(key)
-        if hit is not None:
-            return hit
-        ok = self._search(0, tuple([0] * self.n), FE_ZERO, u, g)
-        self._member_cache[key] = ok
-        return ok
-
-    def _search(self, i, acc_u, acc_g, u, g):
-        reach = self.suffix[i]
-        if any(abs(a - t) > s for a, t, s in zip(acc_u, u, reach)):
-            return False
-        if i == len(self.gens):
-            return acc_u == u and self._residual_ok(g - acc_g)
-        e = self.gens[i]
-        for c in range(self.hcap + 1):
-            nu = tuple(a + c * x for a, x in zip(acc_u, e.u))
-            ng = acc_g + c * e.g if c else acc_g
-            if self._search(i + 1, nu, ng, u, g):
-                return True
-        return False
+        if any(abs(x) > self.box for x in u):
+            raise AssertionError(f"exponent {u} lies outside the search box {self.box}")
+        x, y = self.gamma.coords(g)
+        return any(self._residual_ok(x - a, y - b)
+                   for a, b in self.reach.get(u, ()))
 
 
 def saturation_check(gens: GeneratorSet, bounds):
@@ -205,11 +214,15 @@ def saturation_check(gens: GeneratorSet, bounds):
     vertical elements (0, gamma >= 0).
 
     bounds is (B_u, k_max) or (B_u, k_max, grid_bound); the vertical grid is
-    every group value sum n_i*gen_i with |n_i| <= grid_bound (default 3), and
-    the combination search caps each generator coefficient at
-    2*(B_u + k_max).  Returns the first Witness(u, g, k) in lexicographic
-    scan order with k*(u,g) representable but (u,g) not, or None when the
-    semigroup is saturated within the bounds.
+    every group value sum n_i*gen_i with |n_i| <= grid_bound (default 3).
+    Membership is answered from one reachable set (_MembershipSearch) built
+    for the box ||t||_inf <= k_max * B_u, which holds every exponent u and
+    k*u the scan asks about: each generator coefficient is capped at
+    2*(B_u + k_max), and the leftover height must be a natural combination
+    of the positive grid values.  Returns the first Witness(u, g, k) in
+    lexicographic scan order (u, then g in the grid, then k) with k*(u, g)
+    representable but (u, g) not, or None when the semigroup is saturated
+    within the bounds.
     """
     if len(bounds) == 2:
         b_u, k_max = bounds
@@ -220,7 +233,7 @@ def saturation_check(gens: GeneratorSet, bounds):
         raise ValueError(f"bounds must satisfy B_u >= 1, k_max >= 2, grid >= 1: {bounds}")
 
     grid = _gamma_grid(gens.gamma, grid_bound)
-    search = _MembershipSearch(gens, grid, 2 * (b_u + k_max))
+    search = _MembershipSearch(gens, grid, 2 * (b_u + k_max), k_max * b_u)
     hull = gens.hull()
 
     for u in itertools.product(range(-b_u, b_u + 1), repeat=gens.n):

@@ -16,7 +16,9 @@ invariant; only this module's arithmetic and coercion and the kernel loops of
 A value group is a finitely generated subgroup of the reals inside such a
 field.  Writing its generators as coordinate vectors (p, q) over Q turns it
 into a rank <= 2 integer lattice after clearing denominators, so membership
-and discreteness reduce to lattice arithmetic.
+and discreteness reduce to lattice arithmetic.  The same integer coordinates
+(``ValueGroup.coords``) let bounded searches add and compare group elements
+as plain int pairs, signed by ``pair_sign``.
 """
 
 from __future__ import annotations
@@ -328,6 +330,20 @@ FE_ZERO = FieldElement(0)
 FE_ONE = FieldElement(1)
 
 
+def pair_sign(a: int, b: int, d: int | None) -> int:
+    """Sign of a + b*sqrt(d) for integers a and b (b == 0 when d is None).
+
+    Decided exactly by comparing a^2 with d*b^2 when the signs of a and b
+    differ; the two are never equal, since sqrt(d) is irrational.
+    """
+    if not b:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if not a or (a > 0) == (b > 0):
+        return sb
+    return -sb if a * a > d * b * b else sb
+
+
 # -- value groups -----------------------------------------------------------
 
 
@@ -417,14 +433,27 @@ class ValueGroup:
     def rank(self) -> int:
         return len(self._basis)
 
-    def contains(self, x) -> bool:
+    def coords(self, x):
+        """The integers (X, Y) with x * scale = X + Y*sqrt(d), or None when
+        x * scale has a non-integer part.
+
+        The scale is fixed per group, so every group element has integer
+        coordinates and sums of group elements are sums of coordinates.
+        """
         x = as_fe(x)
         if x.d is not None and self.field.d != x.d:
             raise FieldMismatch(f"{x} does not live in {self.field}")
-        xs = (x.p * self._scale, x.q * self._scale)
-        if int(xs[0].denominator) != 1 or int(xs[1].denominator) != 1:
+        xp = x.p * self._scale
+        xq = x.q * self._scale
+        if xp.denominator != 1 or xq.denominator != 1:
+            return None
+        return int(xp), int(xq)
+
+    def contains(self, x) -> bool:
+        xy = self.coords(x)
+        if xy is None:
             return False
-        X, Y = int(xs[0]), int(xs[1])
+        X, Y = xy
         rows = self._basis
         if not rows:
             return X == 0 and Y == 0

@@ -29,6 +29,7 @@ G_TRIV = ValueGroup(RAT, [])
 G_Z = ValueGroup(RAT, [1])
 G_SIXTH = ValueGroup(RAT, [Fr(1, 2), Fr(1, 3)])
 G_S2 = ValueGroup(QS2, [1, SQRT2])
+G_HALF = ValueGroup(RAT, [Fr(1, 2)])  # for random draws; not in ALL_GROUPS
 
 ALL_GROUPS = {"trivial": G_TRIV, "Z": G_Z, "sixth": G_SIXTH, "sqrt2": G_S2}
 
@@ -317,20 +318,22 @@ def random_admissible_cone(rng, groups=None, max_dim=3):
         u = tuple(rng.randint(-3, 3) for _ in range(n))
         if not any(u):
             return None
-        halfspaces.append(HalfSpace(u, _random_group_element(rng, gamma)))
+        halfspaces.append(HalfSpace(u, random_group_element(rng, gamma)))
     try:
         return make_admissible(n, halfspaces, gamma)
     except ContainsLine:
         return None
 
 
-def _random_group_element(rng, gamma):
+def random_group_element(rng, gamma):
     if gamma is G_TRIV:
         return fe(0)
     if gamma is G_Z:
         return fe(rng.randint(-2, 2))
     if gamma is G_SIXTH:
         return fe(Fr(rng.randint(-12, 12), 6))
+    if gamma is G_HALF:
+        return fe(Fr(rng.randint(-4, 4), 2))
     return fe(rng.randint(-2, 2), rng.randint(-2, 2), 2)
 
 

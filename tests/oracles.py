@@ -5,7 +5,9 @@ Each oracle reimplements the quantity under test with a different algorithm
 search) so that agreement is meaningful evidence rather than a tautology.
 Only FieldElement arithmetic is borrowed from the package, apart from
 cell_cone_faces, which takes the long way through one kernel cone per lower
-facet and per cell; every algorithm here is deliberately naive.
+facet and per cell, and the reference routes for the semigroup searches
+(pairwise_generators, dfs_saturation_check), which build the package's
+GeneratorSet and its hull; every algorithm here is deliberately naive.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from toricval import Cone, FieldElement, fe
+from toricval import BoundTooSmall, Cone, FieldElement, GeneratorSet, fe
 
 # -- interval-arithmetic sign -----------------------------------------------
 
@@ -196,6 +198,173 @@ def brute_member(gens, grid_values, target_u, target_g, cap):
         if rem.sign() > 0 and any(rem == v for v in verticals):
             return True
     return False
+
+
+# -- semigroup generators and saturation, the field-arithmetic routes ------------
+
+
+ZERO = fe(0)
+
+
+def pairwise_generators(ac, bound):
+    """Degree-bounded generators by the O(H^2) decomposition test.
+
+    The height of each exponent u in the box is the max over slice vertices
+    of -<u, V> in field arithmetic; u is kept when its height lies in Gamma
+    (other exponents are skipped), and (u, g(u)) is dropped when some split
+    u = u1 + u2 inside the box has g(u1) + g(u2) == g(u).  Raises
+    BoundTooSmall when the kept set's hull is not the dual cone.  The caller
+    handles cones that are not of finite type or have an empty slice.
+    """
+    sl = ac.slice()
+    heights = {}
+    for u in itertools.product(range(-bound, bound + 1), repeat=ac.n):
+        if not any(u):
+            continue
+        if any(sum(a * b for a, b in zip(u, r)) < 0 for r in sl.recession_rays):
+            continue
+        best = None
+        for v in sl.vertices:
+            h = ZERO
+            for a, x in zip(u, v):
+                h = h - fe(a) * x
+            if best is None or h > best:
+                best = h
+        if ac.gamma.contains(best):
+            heights[u] = best
+    kept = []
+    for u, g in heights.items():
+        decomposable = False
+        for u1 in heights:
+            u2 = tuple(a - b for a, b in zip(u, u1))
+            if u2 == u or not any(u2):
+                continue
+            g2 = heights.get(u2)
+            if g2 is not None and heights[u1] + g2 == g:
+                decomposable = True
+                break
+        if not decomposable:
+            kept.append((u, g))
+    gens = GeneratorSet(ac.n, ac.gamma, kept)
+    if gens.hull() != ac.cone.dual():
+        raise BoundTooSmall(bound, "generated cone does not reach the dual cone")
+    return gens
+
+
+def gamma_grid(gamma, bound):
+    """All group elements sum n_i * gen_i with |n_i| <= bound, deduplicated."""
+    vals = {ZERO}
+    for coeffs in itertools.product(
+        range(-bound, bound + 1), repeat=len(gamma.generators)
+    ):
+        total = ZERO
+        for c, g in zip(coeffs, gamma.generators):
+            if c:
+                total = total + c * g
+        vals.add(total)
+    return sorted(vals)
+
+
+class DfsMembershipSearch:
+    """Bounded search for natural-number combinations of G plus vertical
+    grid elements.  Soundness is one-way: "found" is a certificate, "not
+    found" means not found within the caps.
+
+    The depth-first route: one search per queried exponent over the
+    generator coefficients, pruned by the per-coordinate reach of the
+    remaining generators, with field arithmetic on the heights."""
+
+    def __init__(self, gens: GeneratorSet, verts, hcap):
+        self.gens = list(gens)
+        self.verts = sorted((v for v in verts if v.sign() > 0), reverse=True)
+        self.hcap = hcap
+        self.n = gens.n
+        # per-coordinate reach of the remaining generators, for pruning
+        self.suffix = []
+        acc = [0] * self.n
+        for e in reversed(self.gens):
+            acc = [a + hcap * abs(u) for a, u in zip(acc, e.u)]
+            self.suffix.append(tuple(acc))
+        self.suffix.reverse()
+        self.suffix.append(tuple([0] * self.n))
+        self._residual_cache = {}
+        self._member_cache = {}
+
+    def _residual_ok(self, r, i=0):
+        s = r.sign()
+        if s == 0:
+            return True
+        if s < 0 or i >= len(self.verts):
+            return False
+        key = (r.p, r.q, i)
+        hit = self._residual_cache.get(key)
+        if hit is not None:
+            return hit
+        coin = self.verts[i]
+        c = 0
+        acc = ZERO
+        while acc + coin <= r:
+            acc = acc + coin
+            c += 1
+        ok = False
+        for cc in range(c, -1, -1):
+            if self._residual_ok(r - cc * coin, i + 1):
+                ok = True
+                break
+        self._residual_cache[key] = ok
+        return ok
+
+    def member(self, u, g):
+        key = (u, g.p, g.q)
+        hit = self._member_cache.get(key)
+        if hit is not None:
+            return hit
+        ok = self._search(0, tuple([0] * self.n), ZERO, u, g)
+        self._member_cache[key] = ok
+        return ok
+
+    def _search(self, i, acc_u, acc_g, u, g):
+        reach = self.suffix[i]
+        if any(abs(a - t) > s for a, t, s in zip(acc_u, u, reach)):
+            return False
+        if i == len(self.gens):
+            return acc_u == u and self._residual_ok(g - acc_g)
+        e = self.gens[i]
+        for c in range(self.hcap + 1):
+            nu = tuple(a + c * x for a, x in zip(acc_u, e.u))
+            ng = acc_g + c * e.g if c else acc_g
+            if self._search(i + 1, nu, ng, u, g):
+                return True
+        return False
+
+
+def dfs_saturation_check(gens, bounds, queries=None):
+    """saturation_check by one DfsMembershipSearch per call: the same scan
+    and bounds (the grid bound defaults to 3).  Each membership query the
+    scan makes is appended to queries as (u, g, answer)."""
+    if len(bounds) == 2:
+        b_u, k_max = bounds
+        grid_bound = 3
+    else:
+        b_u, k_max, grid_bound = bounds
+    grid = gamma_grid(gens.gamma, grid_bound)
+    search = DfsMembershipSearch(gens, grid, 2 * (b_u + k_max))
+    hull = gens.hull()
+
+    def member(u, g):
+        ok = search.member(u, g)
+        if queries is not None:
+            queries.append((u, g, ok))
+        return ok
+
+    for u in itertools.product(range(-b_u, b_u + 1), repeat=gens.n):
+        for g in grid:
+            if not hull.contains_point(tuple(fe(x) for x in u) + (g,)):
+                continue
+            for k in range(2, k_max + 1):
+                if member(tuple(k * x for x in u), k * g) and not member(u, g):
+                    return u, g, k
+    return None
 
 
 # -- 1-d lower envelope -------------------------------------------------------

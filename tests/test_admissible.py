@@ -4,11 +4,16 @@ Slice vertices and recession rays are checked against the hand-derived
 catalog values; minimal heights against direct max(-<u, V>) computations.
 """
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalog import CONES, G_S2, G_SIXTH, G_Z, SQRT2, build
+from catalog import (CONES, G_HALF, G_S2, G_SIXTH, G_Z, SQRT2, build,
+                     random_admissible_cone)
+from oracles import interval_sign, pairwise_generators
 from toricval import (
     BoundTooSmall,
     ConstantNotInGamma,
@@ -17,6 +22,7 @@ from toricval import (
     FieldMismatch,
     HalfSpace,
     HeightUnboundedBelow,
+    NotFiniteType,
     SemigroupElement,
     algebra_generators,
     bad_slice_vertices,
@@ -166,8 +172,6 @@ def test_generators_drop_decomposables():
 
 
 def test_generators_not_finite_type():
-    from toricval import NotFiniteType
-
     with pytest.raises(NotFiniteType):
         algebra_generators(build("C2"), 2)
 
@@ -178,6 +182,104 @@ def test_generators_unbounded_height():
     )
     with pytest.raises(HeightUnboundedBelow):
         algebra_generators(empty, 2)
+
+
+def test_generators_skip_heights_outside_gamma():
+    # slice [0, 2/3] over Z: -1 and -2 have heights 2/3 and 4/3, not in Z
+    ac = make_admissible(1, [HalfSpace((1,), 0), HalfSpace((-3,), 2)], G_Z)
+    assert minimal_height(ac, (-1,)).kind == "not_attained"
+    assert algebra_generators(ac, 4) == pairwise_generators(ac, 4)
+
+
+# -- heights and generators against the field-arithmetic oracles -------------------
+
+
+def _random_box_cone(rng):
+    """A cone over <1, sqrt 2> whose slice is a box with corners in Gamma,
+    some sides left open, seen through a random unimodular change of
+    coordinates, so its slice vertices stay in Gamma (finite type)."""
+    n = rng.randint(1, 2)
+    hss = []
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        lo = fe(rng.randint(-2, 2), rng.randint(-2, 2), 2)
+        hi = lo + fe(rng.randint(0, 2), rng.randint(0, 2), 2)
+        hss.append((e, -lo))
+        if rng.random() < 0.75:
+            hss.append(([-x for x in e], hi))
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 if n == 2 else 0):
+        a, b = rng.sample(range(n), 2)
+        k = rng.choice([-1, 1])
+        for row in mat:
+            row[b] += k * row[a]
+    return make_admissible(
+        n, [HalfSpace(tuple(sum(u[i] * mat[i][j] for i in range(n))
+                            for j in range(n)), c) for u, c in hss], G_S2)
+
+
+def _random_cone(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        return _random_box_cone(rng), rng
+    while True:
+        ac = random_admissible_cone(rng, groups=[G_Z, G_HALF, G_SIXTH, G_S2])
+        if ac is not None:
+            return ac, rng
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BoundTooSmall:
+        return BoundTooSmall
+
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1).map(_random_cone))
+def test_generators_match_pairwise_oracle(case):
+    ac, _ = case
+    for bound in ((1, 2, 3) if ac.n < 3 else (1, 2)):
+        if ac.slice() is None:
+            with pytest.raises(HeightUnboundedBelow):
+                algebra_generators(ac, bound)
+        elif not is_finite_type(ac):
+            with pytest.raises(NotFiniteType):
+                algebra_generators(ac, bound)
+        else:
+            assert (_outcome(algebra_generators, ac, bound)
+                    == _outcome(pairwise_generators, ac, bound))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1).map(_random_cone))
+def test_minimal_height_is_interval_max(case):
+    ac, rng = case
+    sl = ac.slice()
+    for _ in range(8):
+        u = tuple(rng.randint(-3, 3) for _ in range(ac.n))
+        if sl is None:
+            with pytest.raises(HeightUnboundedBelow):
+                minimal_height(ac, u)
+            return
+        res = minimal_height(ac, u)
+        if any(sum(a * b for a, b in zip(u, r)) < 0 for r in sl.recession_rays):
+            assert res.is_infeasible()
+            continue
+        best = None
+        for v in sl.vertices:
+            h = fe(0)
+            for a, x in zip(u, v):
+                h = h - fe(a) * x
+            if best is None or interval_sign((h - best).p, (h - best).q, 2) > 0:
+                best = h
+        assert res.g == best
+        assert res.kind == ("value" if ac.gamma.contains(best) else "not_attained")
 
 
 # -- faces -------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catalog import (CONES, G_SIXTH, G_Z, SQRT2, build, catalog_gensets,
-                     random_in_cone_targets)
-from oracles import brute_member
+from catalog import (CONES, G_HALF, G_S2, G_SIXTH, G_Z, SQRT2, build,
+                     catalog_gensets, random_group_element, random_in_cone_targets)
+from oracles import brute_member, dfs_saturation_check, gamma_grid
 from toricval import (
     BoundTooSmall,
     GeneratorSet,
@@ -28,6 +30,7 @@ from toricval import (
     round_trip,
     saturation_check,
 )
+from toricval.classify import _MembershipSearch
 
 
 def _gs(n, gamma, pairs):
@@ -160,6 +163,61 @@ def test_witness_scan_order_is_lexicographic():
     ku = tuple(w.k * x for x in w.u)
     assert brute_member(gens, grid_vals, ku, fe(w.k) * w.g, cap=10)
     assert not brute_member(gens, grid_vals, w.u, w.g, cap=10)
+
+
+def _random_saturation_case(seed):
+    """A random generator set (|G| <= 4, n = 1..3) with saturation bounds,
+    with or without a grid bound."""
+    rng = random.Random(seed)
+    gamma = rng.choice([G_Z, G_HALF, G_SIXTH, G_S2])
+    n = rng.randint(1, 3)
+    pairs = {}
+    for _ in range(rng.randint(1, 4)):
+        u = tuple(rng.randint(-2, 2) for _ in range(n))
+        pairs[u] = random_group_element(rng, gamma)
+    bounds = rng.choice([(1, 2), (1, 3), (2, 2)])
+    if rng.random() < 0.5:
+        bounds += (rng.randint(1, 2),)
+    return _gs(n, gamma, pairs.items()), bounds
+
+
+# 60 draws: the depth-first oracle takes up to seconds on one draw
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1).map(_random_saturation_case))
+def test_saturation_matches_dfs_oracle(case):
+    gens, bounds = case
+    queries = []
+    expect = dfs_saturation_check(gens, bounds, queries)
+    w = saturation_check(gens, bounds)
+    assert (w if w is None else (w.u, w.g, w.k)) == expect
+    b_u, k_max = bounds[:2]
+    grid = gamma_grid(gens.gamma, bounds[2] if len(bounds) == 3 else 3)
+    hcap = 2 * (b_u + k_max)
+    search = _MembershipSearch(gens, grid, hcap, k_max * b_u)
+    for u, g, ok in queries:
+        assert search.member(u, g) == ok, (u, g)
+    # brute_member => member, checked where member says no
+    for u, g, ok in set(queries):
+        if not ok:
+            assert not brute_member(gens, grid, u, g, hcap), (u, g)
+
+
+def test_saturation_former_hangs():
+    # the depth-first search took 47.8 s and 18.9 s on these (2-core Xeon)
+    s2 = SQRT2
+    gens = _gs(2, G_S2, [((-1, 0), 1), ((1, 1), -s2), ((2, -1), 2 + s2),
+                         ((2, 0), 1 - s2), ((2, 2), s2)])
+    assert saturation_check(gens, (2, 2)) == Witness((1, 0), fe(0), 2)
+    gens = _gs(3, G_S2, [((-1, 0, 2), s2), ((0, 1, 2), 2), ((0, 2, 1), -s2),
+                         ((1, -1, -1), -1 + s2), ((2, -1, 2), -1 + 2 * s2)])
+    assert saturation_check(gens, (1, 2)) is None
+
+
+def test_member_outside_box_refused():
+    search = _MembershipSearch(C1_GENS, [fe(1)], 4, 2)
+    assert search.member((2,), fe(0))
+    with pytest.raises(AssertionError):
+        search.member((3,), fe(0))
 
 
 def test_saturation_bounds_validated():
