@@ -31,7 +31,7 @@ from .errors import (
     NotFiniteType,
 )
 from ._rational import Q, qgcd
-from .linalg import canonical_ray, primitive_int_vector, vdot, vec
+from .linalg import canonical_ray, int_vector, primitive_int_vector, vdot, vec
 from .ordfield import FieldElement, ValueGroup, as_fe, pair_sign
 from .polyhedra import Cone, HalfSpace, vertical_normal
 
@@ -206,7 +206,7 @@ class SemigroupElement:
     g: FieldElement
 
     def __post_init__(self):
-        object.__setattr__(self, "u", tuple(int(x) for x in self.u))
+        object.__setattr__(self, "u", int_vector(self.u))
         object.__setattr__(self, "g", as_fe(self.g))
 
     def pair_vector(self):
@@ -329,7 +329,7 @@ def minimal_height(ac: AdmissibleCone, u) -> HeightResult:
     infimum is max over slice vertices V of -<u, V>, reported as a Value when
     it lies in Gamma and as NotAttainedInGamma otherwise.
     """
-    u = tuple(int(x) for x in u)
+    u = int_vector(u)
     if len(u) != ac.n:
         raise DimensionMismatch(f"u has length {len(u)}, expected {ac.n}")
     isl = ac.integer_slice()
@@ -387,7 +387,16 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
     parts in the box.  By convexity of g that holds exactly when u1 and u2
     both attain their heights at one vertex v attaining g(u), any such v
     (module docstring); so for one v in u's vertex set only the u1 attaining
-    at v are scanned, and the test is a bitmask lookup.
+    at v are scanned, and the test is a bitmask lookup.  Heights stay integer
+    pairs over the slice denominator (Gamma-membership through
+    ValueGroup.pair_coords and has_coords); only kept generators become
+    field elements.
+
+    The certificate reads the hull's H-side: hull == dual cone exactly when
+    hull's dual == the cone (biduality), and both sides of
+    hull.facets == cone.rays, hull.equations == cone.lineality are the
+    canonical output of one dd_pair run (the hull's from its generators,
+    the cone's from its constraints), so no further run is needed.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
@@ -396,8 +405,10 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
     isl = ac.integer_slice()
     if isl is None:
         raise HeightUnboundedBelow()
+    den = isl[0]
+    gamma = ac.gamma
 
-    heights = {}  # u -> (g(u), mask of vertices attaining it)
+    heights = {}  # u -> (a, b, mask): den * g(u) = a + b*sqrt(d), attained on mask
     at_vertex = [[] for _ in isl[2]]
     for u in itertools.product(range(-bound, bound + 1), repeat=ac.n):
         if not any(u):
@@ -405,30 +416,31 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
         h = _height(isl, u)
         if h is None:
             continue
-        g = _height_value(isl, h[0], h[1])
         # not_attained exponents (possible over a discrete group whose slice
         # has non-group vertices) have no minimal semigroup element; skipped
-        if not ac.gamma.contains(g):
+        xy = gamma.pair_coords(h[0], h[1], den)
+        if xy is None or not gamma.has_coords(*xy):
             continue
+        heights[u] = h
         mask = h[2]
-        heights[u] = (g, mask)
         for i in range(len(at_vertex)):
             if mask >> i & 1:
                 at_vertex[i].append(u)
 
     kept = []
-    for u, (g, mask) in heights.items():
+    for u, (a, b, mask) in heights.items():
         low = mask & -mask
         decomposable = False
         for u1 in at_vertex[low.bit_length() - 1]:
-            h2 = heights.get(tuple(a - b for a, b in zip(u, u1)))
-            if h2 is not None and h2[1] & low:
+            h2 = heights.get(tuple(x - y for x, y in zip(u, u1)))
+            if h2 is not None and h2[2] & low:
                 decomposable = True
                 break
         if not decomposable:
-            kept.append(SemigroupElement(u, g))
+            kept.append(SemigroupElement(u, _height_value(isl, a, b)))
 
-    gens = GeneratorSet(ac.n, ac.gamma, kept)
-    if gens.hull() != ac.cone.dual():
+    gens = GeneratorSet(ac.n, gamma, kept)
+    hull = gens.hull()
+    if hull.facets != ac.cone.rays or hull.equations != ac.cone.lineality:
         raise BoundTooSmall(bound, "generated cone does not reach the dual cone")
     return gens

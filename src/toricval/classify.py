@@ -11,6 +11,7 @@ the original cone, literally (canonical ray sets, no lattice automorphism).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ._rational import Q
@@ -23,7 +24,7 @@ from .admissible import (
 )
 from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
 from .lp import INFEASIBLE, UNBOUNDED, solve_min
-from .linalg import rank, vec
+from .linalg import rank, vdot, vec
 from .ordfield import FE_ZERO, FieldElement, pair_sign
 from .polyhedra import HalfSpace
 
@@ -202,11 +203,39 @@ class _MembershipSearch:
         return ok
 
     def member(self, u, g):
+        """Is (u, g) found?  g is a group element or its integer coordinates
+        (X, Y) as ValueGroup.coords gives them."""
         if any(abs(x) > self.box for x in u):
             raise AssertionError(f"exponent {u} lies outside the search box {self.box}")
-        x, y = self.gamma.coords(g)
+        x, y = g if type(g) is tuple else self.gamma.coords(g)
         return any(self._residual_ok(x - a, y - b)
                    for a, b in self.reach.get(u, ()))
+
+
+def _grid_start(hull, grid):
+    """A function u -> the least index i with (u, grid[i]) in the hull, or
+    len(grid) when no grid value qualifies; grid must be sorted.
+
+    The vertical ray (0, 1) lies in the hull, so every facet (f_u, f_g) has
+    f_g >= 0 and every equation has height coefficient 0.  A facet with
+    f_g > 0 holds at (u, g) iff g >= -<f_u, u> / f_g, so (u, g) is in the
+    hull iff the equations and the facets with f_g = 0 hold at u and g is at
+    least t(u), the largest of those bounds: exact, with one bound per facet
+    instead of one test per grid value.
+    """
+    lower = [(f[:-1], f[-1]) for f in hull.facets if f[-1]]
+    level = [f[:-1] for f in hull.facets if not f[-1]]
+    flat = [e[:-1] for e in hull.equations]
+
+    def start(u):
+        uv = vec(u)
+        if any(vdot(f, uv).sign() < 0 for f in level) or any(vdot(e, uv) for e in flat):
+            return len(grid)
+        if not lower:
+            return 0
+        return bisect_left(grid, max(-vdot(f, uv) / c for f, c in lower))
+
+    return start
 
 
 def saturation_check(gens: GeneratorSet, bounds):
@@ -223,6 +252,12 @@ def saturation_check(gens: GeneratorSet, bounds):
     lexicographic scan order (u, then g in the grid, then k) with k*(u, g)
     representable but (u, g) not, or None when the semigroup is saturated
     within the bounds.
+
+    Only (u, g) in the hull of G are tried.  For each u the hull's facets
+    give one exact threshold t(u) (_grid_start): the grid, sorted, is
+    scanned from its first value >= t(u), and u is skipped outright when a
+    facet or equation that does not involve the height fails at u.  Queries
+    pass the grid's integer coordinates, computed once.
     """
     if len(bounds) == 2:
         b_u, k_max = bounds
@@ -233,18 +268,17 @@ def saturation_check(gens: GeneratorSet, bounds):
         raise ValueError(f"bounds must satisfy B_u >= 1, k_max >= 2, grid >= 1: {bounds}")
 
     grid = _gamma_grid(gens.gamma, grid_bound)
+    coords = [gens.gamma.coords(g) for g in grid]
     search = _MembershipSearch(gens, grid, 2 * (b_u + k_max), k_max * b_u)
-    hull = gens.hull()
+    start = _grid_start(gens.hull(), grid)
 
     for u in itertools.product(range(-b_u, b_u + 1), repeat=gens.n):
-        for g in grid:
-            if not hull.contains_point(vec(u) + (g,)):
-                continue
+        for i in range(start(u), len(grid)):
+            x, y = coords[i]
             for k in range(2, k_max + 1):
-                ku = tuple(k * x for x in u)
-                kg = k * g
-                if search.member(ku, kg) and not search.member(u, g):
-                    return Witness(u, g, k)
+                ku = tuple(k * a for a in u)
+                if search.member(ku, (k * x, k * y)) and not search.member(u, (x, y)):
+                    return Witness(u, grid[i], k)
     return None
 
 

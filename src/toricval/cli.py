@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import _io
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process."""
     p = _Parser(
         prog="toricval",
         description="Exact polyhedral toolkit for toric geometry over a "
@@ -271,9 +274,15 @@ def _emit(report, out_path):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; returns its exit code, the JSON report on stdout.
+
+    The argument parser is built once per process, on the first call, and
+    reused: parsing keeps no state between calls, so main may be called
+    repeatedly in one process (a usage error included) with the same
+    output and exit codes as in a fresh one.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": "UsageError"}))
         return 1

@@ -15,6 +15,22 @@ def vec(entries):
     return tuple(as_fe(x) for x in entries)
 
 
+def _integral(x):
+    i = int(x)
+    if i != x:
+        raise ValueError(f"exponent entry {x} is not an integer")
+    return i
+
+
+def int_vector(entries):
+    """The entries as a tuple of ints.
+
+    Ints pass as they are; any other entry must equal an integer (an
+    integral Fraction, say), else ValueError: nothing is truncated.
+    """
+    return tuple(x if type(x) is int else _integral(x) for x in entries)
+
+
 def vdot(a, b):
     if len(a) != len(b):
         raise DimensionMismatch(f"dot of length {len(a)} with {len(b)}")

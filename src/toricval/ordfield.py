@@ -449,11 +449,22 @@ class ValueGroup:
             return None
         return int(xp), int(xq)
 
+    def pair_coords(self, a, b, den):
+        """coords of (a + b*sqrt(d)) / den for integers a, b and den > 0,
+        or None when that value times scale has a non-integer part."""
+        X, rx = divmod(a * self._scale, den)
+        Y, ry = divmod(b * self._scale, den)
+        if rx or ry:
+            return None
+        return X, Y
+
     def contains(self, x) -> bool:
         xy = self.coords(x)
-        if xy is None:
-            return False
-        X, Y = xy
+        return xy is not None and self.has_coords(*xy)
+
+    def has_coords(self, X, Y) -> bool:
+        """Is the element with integer coordinates (X, Y) (see coords) in
+        the group?"""
         rows = self._basis
         if not rows:
             return X == 0 and Y == 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch
 from .linalg import (
     canonical_ray,
+    int_vector,
     is_zero_vec,
     rank,
     rref,
@@ -46,7 +47,7 @@ class HalfSpace:
     __slots__ = ("u", "c")
 
     def __init__(self, u, c):
-        u = tuple(int(x) for x in u)
+        u = int_vector(u)
         c = as_fe(c)
         if not any(u) and not c:
             raise ValueError("half-space needs u or c nonzero")

@@ -103,6 +103,18 @@ def test_minimal_height_c1():
     assert minimal_height(c1, (-3,)).g == fe(3)
 
 
+def test_non_integral_exponent_rejected():
+    c1 = build("C1")
+    with pytest.raises(ValueError):
+        SemigroupElement((Fr(3, 2),), 1)
+    with pytest.raises(ValueError):
+        minimal_height(c1, (1.7,))
+    with pytest.raises(ValueError):
+        minimal_height(c1, (Fr(-1, 2),))
+    assert SemigroupElement((Fr(-2, 2),), 1).u == (-1,)
+    assert minimal_height(c1, (Fr(-3, 1),)).g == fe(3)
+
+
 def test_minimal_height_infeasible_on_recession():
     half = build("HALF")
     res = minimal_height(half, (-1,))

@@ -4,8 +4,10 @@ Rationalization is verified by exact recombination of the returned
 multipliers; saturation witnesses by an exhaustive independent search.
 """
 
+import itertools
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +25,19 @@ from toricval import (
     RationalRepresentation,
     SemigroupElement,
     Witness,
+    _io,
     algebra_generators,
     cone_from_generators,
     fe,
+    polyhedra,
     rationalize,
     round_trip,
     saturation_check,
 )
-from toricval.classify import _MembershipSearch
+from toricval.classify import _grid_start, _MembershipSearch
+from toricval.linalg import vec
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _gs(n, gamma, pairs):
@@ -202,6 +209,39 @@ def test_saturation_matches_dfs_oracle(case):
             assert not brute_member(gens, grid, u, g, hcap), (u, g)
 
 
+def _random_threshold_case(seed):
+    """A random generator set (|G| <= 5, n = 1..3) over the four groups, a
+    box bound and a grid; when deficient, the exponents lie in a span of
+    rank n - 1, so the hull has equations."""
+    rng = random.Random(seed)
+    gamma = rng.choice([G_Z, G_HALF, G_SIXTH, G_S2])
+    n = rng.randint(1, 3)
+    deficient = n > 1 and rng.random() < 0.4
+    basis = [tuple(rng.randint(-2, 2) for _ in range(n))
+             for _ in range(n - 1 if deficient else n)]
+    pairs = {}
+    for _ in range(rng.randint(1, 5)):
+        cs = [rng.randint(-1, 1) for _ in basis]
+        u = tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+        pairs[u] = random_group_element(rng, gamma)
+    grid = gamma_grid(gamma, rng.randint(1, 2))
+    return _gs(n, gamma, pairs.items()), deficient, rng.randint(1, 2), grid
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1).map(_random_threshold_case))
+def test_grid_start_matches_hull(case):
+    gens, deficient, b_u, grid = case
+    hull = gens.hull()
+    if deficient:
+        assert hull.equations
+    start = _grid_start(hull, grid)
+    for u in itertools.product(range(-b_u, b_u + 1), repeat=gens.n):
+        i0 = start(u)
+        for i, g in enumerate(grid):
+            assert (i >= i0) == hull.contains_point(vec(u) + (g,)), (u, g)
+
+
 def test_saturation_former_hangs():
     # the depth-first search took 47.8 s and 18.9 s on these (2-core Xeon)
     s2 = SQRT2
@@ -258,3 +298,28 @@ def test_round_trip_literal_ray_sets():
     report = round_trip(build("C1S"), 2)
     rays = {tuple(str(x) for x in r) for r in report.reconstructed.cone.rays}
     assert rays == {("0", "1"), ("1", "1/2*sqrt(2)")}
+
+
+# -- double-description runs --------------------------------------------------------
+
+
+def test_dd_runs_per_semigroup_call(monkeypatch):
+    # the generator certificate reads the hull's facets, no second run; the
+    # saturation scan reads the hull's facets, no run per grid value
+    entries = [c for c in CONES if c.rt_bound is not None]
+    cones = [c.build() for c in entries]
+    witness = _io.genset_from_json(_io.load_path(FIXTURES / "gens-witness.json"))
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    for entry, ac in zip(entries, cones):
+        del calls[:]
+        algebra_generators(ac, entry.rt_bound)
+        assert len(calls) == 1, entry.name
+        del calls[:]
+        assert round_trip(ac, entry.rt_bound).ok
+        assert len(calls) == 2, entry.name
+    del calls[:]
+    assert saturation_check(witness, (3, 3)) == Witness((1,), fe(0), 2)
+    assert len(calls) == 1

@@ -178,6 +178,38 @@ def test_svg_rejected_for_high_dimension(tmp_path):
 # -- true subprocess coverage ----------------------------------------------------
 
 
+_RUN_ALL = """\
+import io, json, sys
+from contextlib import redirect_stdout
+from toricval.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    out.append([code, buf.getvalue()])
+sys.stdout.write(json.dumps(out))
+"""
+
+
+def test_reused_parser_matches_fresh_process():
+    # one fresh process runs a usage error, a schema error, then the whole
+    # matrix backwards through one main; parser state left behind by an
+    # error or by an earlier command would show against the in-process runs
+    argvs = [[a[0], fx(a[1])] + a[2:] for _, a in MATRIX]
+    expected = [list(run_cli(*argv)) for argv in argvs]
+    lead = [["generators", fx("C1.json")], ["check-cone", fx("bad-unknown-key.json")]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, json.dumps(lead + argvs[::-1])],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert [(code, json.loads(out)["kind"]) for code, out in got[:2]] == [
+        (1, "UsageError"), (1, "SchemaError")]
+    assert got[2:][::-1] == expected
+
+
 def test_module_entry_point_ok():
     proc = subprocess.run(
         [sys.executable, "-m", "toricval", "check-cone", fx("C1.json")],

@@ -167,6 +167,15 @@ def test_face_count_cone_over_polygon():
         assert len(cone.face_lattice()[0]) == 2 * k + 2
 
 
+def test_halfspace_rejects_non_integral_exponent():
+    with pytest.raises(ValueError):
+        HalfSpace((Fr(1, 2), 1), 0)
+    with pytest.raises(ValueError):
+        HalfSpace((1.7, 0), 1)
+    h = HalfSpace((Fr(4, 2), 1.0), 0)
+    assert h.u == (2, 1) and all(type(x) is int for x in h.u)
+
+
 def test_one_dd_run_per_cone_and_none_per_face(monkeypatch):
     calls = []
     real = polyhedra.dd_pair
