@@ -169,7 +169,10 @@ def cone_from_json(obj, gamma: ValueGroup, loc="cone") -> AdmissibleCone:
         _expect_object(h, ("u", "c"), hloc)
         u = _parse_uvec(_require(h, "u", hloc), n, f"{hloc}.u")
         c = fe_from_json(_require(h, "c", hloc), gamma.field.d, f"{hloc}.c")
-        hss.append(HalfSpace(u, c))
+        try:
+            hss.append(HalfSpace(u, c))
+        except ValueError as exc:  # the zero half-space
+            raise SchemaError(str(exc), hloc) from exc
     return make_admissible(n, hss, gamma)
 
 

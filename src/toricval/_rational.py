@@ -14,12 +14,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Q  # type: ignore[assignment]
 
 QZERO = Q(0)
-QONE = Q(1)
-
-
-def qfloor(x) -> int:
-    # mpz and int both floor-divide
-    return int(x.numerator // x.denominator)
 
 
 def qsign(x) -> int:
@@ -31,9 +25,3 @@ def qsign(x) -> int:
 def qstr(x) -> str:
     """Canonical "num/den" form, denominator always present."""
     return f"{int(x.numerator)}/{int(x.denominator)}"
-
-
-def qgcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

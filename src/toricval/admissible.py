@@ -20,6 +20,7 @@ vertex.  The generator enumeration decides decomposability by that rule.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     HeightUnboundedBelow,
     NotFiniteType,
 )
-from ._rational import Q, qgcd
+from ._rational import Q
 from .linalg import canonical_ray, int_vector, primitive_int_vector, vdot, vec
 from .ordfield import FieldElement, ValueGroup, as_fe, pair_sign
 from .polyhedra import Cone, HalfSpace, vertical_normal
@@ -120,8 +121,7 @@ class AdmissibleCone:
             for v in sl.vertices:
                 for x in v:
                     for part in (x.p, x.q):
-                        k = int(part.denominator)
-                        den = den * k // qgcd(den, k)
+                        den = math.lcm(den, int(part.denominator))
             verts = tuple(
                 (tuple(int(x.p * den) for x in v), tuple(int(x.q * den) for x in v))
                 for v in sl.vertices

@@ -6,7 +6,9 @@ pivoting heuristic to tune because there is no rounding.
 
 from __future__ import annotations
 
-from ._rational import QZERO, qgcd
+import math
+
+from ._rational import QZERO
 from .errors import DimensionMismatch
 from .ordfield import FE_ZERO, _make, as_fe
 
@@ -107,11 +109,11 @@ def primitive_int_vector(v):
         x = as_fe(x)
         if x.q != 0:
             raise ValueError(f"vector entry {x} is not rational")
-        scale = scale * int(x.p.denominator) // qgcd(scale, int(x.p.denominator))
+        scale = math.lcm(scale, int(x.p.denominator))
     ints = [int(as_fe(x).p * scale) for x in v]
     content = 0
     for n in ints:
-        content = qgcd(content, n)
+        content = math.gcd(content, n)
     if content == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(n // content for n in ints)

@@ -13,6 +13,18 @@ built by the private ``_make``, which skips the coercion and trusts the
 invariant; only this module's arithmetic and coercion and the kernel loops of
 ``linalg`` may call it.
 
+When both operands are irrational, ``*``, ``/`` and ``sign`` (and so the
+order comparisons) work on plain ints.  Each operand is read as
+(x + y*sqrt(d)) / t with x = a*e, y = c*b and t = b*e for p = a/b and
+q = c/e.  A product is (x1*x2 + d*y1*y2, x1*y2 + y1*x2) over t1*t2.  A
+quotient multiplies by the conjugate and divides by the integer norm
+x2^2 - d*y2^2, which is nonzero because sqrt(d) is irrational.  Each part is
+then built by one ``Q(num, den)``, which reduces it by one gcd, so p and q
+come out canonical, and d is dropped exactly when the irrational numerator
+is 0: the invariant holds without a further check.  The sign of an
+irrational element is ``pair_sign(x, y, d)``, because t > 0.  Branches with
+a rational operand keep the ``Q`` operations on the parts.
+
 A value group is a finitely generated subgroup of the reals inside such a
 field.  Writing its generators as coordinate vectors (p, q) over Q turns it
 into a rank <= 2 integer lattice after clearing denominators, so membership
@@ -26,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._rational import QZERO, Q, qgcd, qsign
+from ._rational import QZERO, Q, qsign
 
 from .errors import FieldMismatch
 
@@ -138,10 +150,17 @@ class FieldElement:
         if self.d is None:
             return other._scaled(self.p)
         d = _merge_d(self.d, other.d)
-        q = self.p * other.q + self.q * other.p
-        return _make(self.p * other.p + self.q * other.q * d, q, d if q else None)
+        x1, y1, t1 = self._ints()
+        x2, y2, t2 = other._ints()
+        return _from_ints(x1 * x2 + d * y1 * y2, x1 * y2 + y1 * x2, t1 * t2, d)
 
     __rmul__ = __mul__
+
+    def _ints(self):
+        """(x, y, t) with self = (x + y*sqrt(d)) / t, x, y, t ints and t > 0."""
+        p, q = self.p, self.q
+        b, e = p.denominator, q.denominator
+        return p.numerator * e, q.numerator * b, b * e
 
     def _scaled(self, r):
         """self * r for r in Q and self irrational."""
@@ -160,11 +179,13 @@ class FieldElement:
                 return _make(self.p / r, QZERO, None)
             return _make(self.p / r, self.q / r, self.d)
         d = _merge_d(self.d, other.d)
-        # multiply by the conjugate; the norm is nonzero since sqrt(d) is irrational
-        norm = other.p * other.p - other.q * other.q * d
-        q = (self.q * other.p - self.p * other.q) / norm
-        return _make((self.p * other.p - self.q * other.q * d) / norm, q,
-                     d if q else None)
+        # multiply by the conjugate m2 - n2*sqrt(d); the integer norm is
+        # nonzero since sqrt(d) is irrational
+        x1, y1, t1 = self._ints()
+        m2, n2, s = other._ints()
+        norm = m2 * m2 - d * n2 * n2
+        return _from_ints((x1 * m2 - d * y1 * n2) * s, (y1 * m2 - x1 * n2) * s,
+                          t1 * norm, d)
 
     def __rtruediv__(self, other):
         return as_fe(other).__truediv__(self)
@@ -192,20 +213,13 @@ class FieldElement:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        sp = qsign(self.p)
         if self.d is None:
-            return sp
-        sq = qsign(self.q)
-        if sp == 0:
-            return sq
-        if sp == sq:
-            return sp
-        # opposite rational/irrational parts: compare p^2 against q^2 d
-        left = self.p * self.p
-        right = self.q * self.q * self.d
-        if left == right:  # would mean sqrt(d) is rational
-            raise AssertionError("square-free d produced a rational square root")
-        return sp if left > right else sq
+            return qsign(self.p)
+        # p = a/b and q = c/e with b*e > 0, so p + q*sqrt(d) has the sign
+        # of a*e + c*b*sqrt(d)
+        p, q = self.p, self.q
+        return pair_sign(p.numerator * q.denominator, q.numerator * p.denominator,
+                         self.d)
 
     def __eq__(self, other):
         if type(other) is not FieldElement:
@@ -259,14 +273,12 @@ class FieldElement:
     # -- presentation --------------------------------------------------------
 
     def __float__(self):
-        # display/rendering convenience only; core algorithms never call this
-        val = float(int(self.p.numerator)) / float(int(self.p.denominator))
+        # display/rendering convenience only; core algorithms never call this.
+        # float() of a rational divides exactly before rounding, so huge
+        # numerators and denominators with a moderate quotient do not overflow
+        val = float(self.p)
         if self.q != 0:
-            val += (
-                float(int(self.q.numerator))
-                / float(int(self.q.denominator))
-                * math.sqrt(self.d)
-            )
+            val += float(self.q) * math.sqrt(self.d)
         return val
 
     def __str__(self):
@@ -306,6 +318,14 @@ def _make(p, q, d) -> FieldElement:
     return x
 
 
+def _from_ints(x, y, t, d) -> FieldElement:
+    """(x + y*sqrt(d)) / t for ints x, y and t != 0: one Q per part, each
+    reduced by its own gcd, and d dropped when y == 0."""
+    if not y:
+        return _make(Q(x, t), QZERO, None)
+    return _make(Q(x, t), Q(y, t), d)
+
+
 def as_fe(x) -> FieldElement:
     """Coerce an int, rational, or FieldElement to a FieldElement."""
     t = type(x)
@@ -334,21 +354,22 @@ def pair_sign(a: int, b: int, d: int | None) -> int:
     """Sign of a + b*sqrt(d) for integers a and b (b == 0 when d is None).
 
     Decided exactly by comparing a^2 with d*b^2 when the signs of a and b
-    differ; the two are never equal, since sqrt(d) is irrational.
+    differ; the two are never equal, since sqrt(d) is irrational, and an
+    AssertionError is raised if they are (d not square-free).
     """
     if not b:
         return (a > 0) - (a < 0)
     sb = 1 if b > 0 else -1
     if not a or (a > 0) == (b > 0):
         return sb
-    return -sb if a * a > d * b * b else sb
+    left = a * a
+    right = d * b * b
+    if left == right:
+        raise AssertionError("square-free d produced a rational square root")
+    return -sb if left > right else sb
 
 
 # -- value groups -----------------------------------------------------------
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // qgcd(a, b)
 
 
 def _echelon2(vectors):
@@ -373,7 +394,7 @@ def _echelon2(vectors):
                     x0, y0, x, y = x, y, x0 - k * x, y0 - k * y
                 r0 = (x0, y0)
         if y != 0:
-            r1 = (0, y) if r1 is None else (0, qgcd(r1[1], y))
+            r1 = (0, y) if r1 is None else (0, math.gcd(r1[1], y))
     rows = []
     if r0 is not None:
         a, b = r0
@@ -411,8 +432,7 @@ class ValueGroup:
 
         scale = 1
         for g in gens:
-            scale = _lcm(scale, int(g.p.denominator))
-            scale = _lcm(scale, int(g.q.denominator))
+            scale = math.lcm(scale, int(g.p.denominator), int(g.q.denominator))
         vecs = []
         for g in gens:
             vecs.append((int(g.p * scale), int(g.q * scale)))
@@ -422,7 +442,7 @@ class ValueGroup:
             content = scale
             for row in basis:
                 for entry in row:
-                    content = qgcd(content, entry)
+                    content = math.gcd(content, entry)
             scale //= content
             basis = [(a // content, b // content) for a, b in basis]
         else:

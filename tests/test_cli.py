@@ -4,14 +4,18 @@ Most invocations run in-process for speed; a few go through a real
 subprocess to cover the console entry point end to end.
 """
 
+import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricval.cli import main
 
@@ -175,6 +179,84 @@ def test_svg_rejected_for_high_dimension(tmp_path):
     assert json.loads(out)["kind"] == "DimensionTooHigh"
 
 
+# -- malformed input never escapes as a traceback ---------------------------------
+
+
+ZERO_HALFSPACE = {"u": [0], "c": {"p": "0/1", "q": "0/1"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cone"], ["dual"], ["generators", "--bound", "2"],
+    ["round-trip", "--bound", "2"], ["fan-validate"], ["slice"], ["recession"],
+])
+def test_zero_halfspace_is_schema_error(tmp_path, argv):
+    # the half-space 0*w + 0*s >= 0 is rejected at its location, exit 1
+    if argv[0] in ("fan-validate", "slice", "recession"):
+        doc = json.loads(Path(fx("F1.json")).read_text())
+        doc["cones"][1]["halfspaces"].append(ZERO_HALFSPACE)
+        loc = "cones[1].halfspaces[1]"
+    else:
+        doc = json.loads(Path(fx("C1.json")).read_text())
+        doc["cone"]["halfspaces"].insert(0, ZERO_HALFSPACE)
+        loc = "cone.halfspaces[0]"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(argv[0], path, *argv[1:])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["kind"] == "SchemaError"
+    assert payload["error"].startswith(loc + ":")
+
+
+# the first matrix command of each fixture file, and the leaves of its JSON
+FIXTURE_ARGV = {}
+for _, _argv in MATRIX:
+    if (FIXTURES / _argv[1]).exists():
+        FIXTURE_ARGV.setdefault(_argv[1], _argv)
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict) and obj:
+        for k, v in obj.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(obj, list) and obj:
+        for i, v in enumerate(obj):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+# small integers half the time: most leaves are exponents, counts or degrees
+LEAF_VALUES = st.one_of(st.integers(-2, 2), st.sampled_from([
+    2**70, True, None, 1.5, "0/1", "1/1", "-1/2", "1/0", "x", "inf", [], {},
+]))
+
+
+@st.composite
+def mutated_fixture(draw):
+    """(argv, doc): a matrix fixture with one JSON leaf replaced."""
+    name = draw(st.sampled_from(sorted(FIXTURE_ARGV)))
+    doc = json.loads((FIXTURES / name).read_text())
+    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = draw(LEAF_VALUES)
+    return FIXTURE_ARGV[name], doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutated_fixture())
+def test_mutated_fixtures_exit_cleanly(tmp_path_factory, case):
+    argv, doc = case
+    path = tmp_path_factory.mktemp("mut") / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(argv[0], path, *argv[2:])
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out), dict)
+
+
 # -- true subprocess coverage ----------------------------------------------------
 
 
@@ -208,6 +290,25 @@ def test_reused_parser_matches_fresh_process():
     assert [(code, json.loads(out)["kind"]) for code, out in got[:2]] == [
         (1, "UsageError"), (1, "SchemaError")]
     assert got[2:][::-1] == expected
+
+
+def test_matrix_bytes_independent_of_hash_seed_and_optimize():
+    # string hashing and assert statements must not reach the output: the
+    # whole matrix gives the same stdout and exit codes under two fixed hash
+    # seeds and under python -O, and the same as in this process
+    argvs = [[a[0], fx(a[1])] + a[2:] for _, a in MATRIX]
+    expected = [list(run_cli(*argv)) for argv in argvs]
+    for flags, seed in (([], "0"), ([], "12345"), (["-O"], None)):
+        env = dict(os.environ)
+        env.pop("PYTHONHASHSEED", None)
+        if seed is not None:
+            env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _RUN_ALL, json.dumps(argvs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected, (flags, seed)
 
 
 def test_module_entry_point_ok():

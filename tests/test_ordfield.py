@@ -6,6 +6,7 @@ independent numeric route); arithmetic against plain Fraction arithmetic on
 the generators.
 """
 
+import math
 import operator
 import random
 from fractions import Fraction as Fr
@@ -27,6 +28,7 @@ from toricval import (
 )
 from toricval._rational import Q
 from toricval.linalg import vdot
+from toricval.ordfield import pair_sign
 
 S2 = sqrtd(2)
 
@@ -90,7 +92,9 @@ def prop(n):
     return settings(max_examples=n, derandomize=True, deadline=None, database=None)
 
 
-RATS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+SMALL_RATS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+BIG_RATS = st.builds(Fr, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+RATS = st.one_of(SMALL_RATS, BIG_RATS)
 
 
 @st.composite
@@ -107,9 +111,45 @@ def operand(draw, d):
 
 
 @st.composite
+def irrational(draw, d):
+    """p + q*sqrt(d) with q != 0.  A third of them are (m - n*sqrt(d))*r with
+    n up to 10^30 and m = isqrt(d*n^2) or one more: the two parts cancel to
+    about 30 digits, and the sign rests on the exact comparison of m^2
+    with d*n^2."""
+    if draw(st.integers(0, 2)):
+        return fe(draw(RATS), draw(RATS.filter(bool)), d)
+    n = draw(st.integers(1, 10**30))
+    m = math.isqrt(d * n * n) + draw(st.integers(0, 1))
+    scale = draw(RATS.filter(bool))
+    return fe(m * scale, -n * scale, d)
+
+
+@st.composite
+def related_pair(draw, d):
+    """Irrational a and b tied so that the operations land on edge cases:
+    conjugates (the product is rational), rational multiples (the quotient
+    is rational, a square when a is pure), and divisors of negative norm."""
+    kind = draw(st.sampled_from(["conjugate", "multiple", "negative_norm"]))
+    a = draw(irrational(d))
+    if kind == "conjugate":
+        b = fe(a.p, -a.q, d)
+    elif kind == "multiple":
+        r = draw(RATS.filter(bool))
+        a = fe(0, a.q, d) if draw(st.booleans()) else a
+        b = fe(a.p * r, a.q * r, d)
+    else:
+        # |p| < |q| <= |q|*sqrt(d), so p^2 - d*q^2 < 0
+        den = draw(st.integers(2, 10**30))
+        b = fe(a.q * Fr(draw(st.integers(-den + 1, den - 1)), den), a.q, d)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
 def operands(draw):
     """(d, a, b) with d in {2, 3} and at least one of a, b a FieldElement."""
     d = draw(st.sampled_from([2, 3]))
+    if draw(st.integers(0, 3)) == 0:
+        return (d, *draw(related_pair(d)))
     a, b = draw(operand(d)), draw(operand(d))
     if not isinstance(a, FieldElement) and not isinstance(b, FieldElement):
         if draw(st.booleans()):
@@ -271,6 +311,35 @@ def test_sign_interval_oracle_random():
         q = Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         x = fe(p, q, d)
         assert x.sign() == interval_sign(p, q, d)
+
+
+@prop(300)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(st.just(d), irrational(d))))
+def test_sign_matches_pair_sign_and_intervals(case):
+    # the element's sign, the integer routine of the semigroup layer and
+    # interval arithmetic agree, also when the two parts nearly cancel
+    d, x = case
+    s = interval_sign(x.p, x.q, d)
+    assert x.sign() == s
+    a, b = x.p.numerator, x.p.denominator
+    c, e = x.q.numerator, x.q.denominator
+    assert pair_sign(a * e, c * b, d) == s
+
+
+def test_pair_sign_rejects_rational_square_root():
+    # 3^2 == 9 * 1^2: only a d that is not square-free gets here
+    with pytest.raises(AssertionError):
+        pair_sign(3, -1, 9)
+    assert pair_sign(3, -1, 8) == 1 and pair_sign(3, -1, 10) == -1
+
+
+def test_float_of_huge_parts():
+    # numerator and denominator beyond the float range, quotient near 1/3
+    x = fe(Fr(10**400 + 1, 3 * 10**399))
+    assert float(x) == float(Fr(10**400 + 1, 3 * 10**399))
+    y = fe(Fr(10**400 + 1, 10**399), Fr(-(10**500 + 1), 10**500), 2)
+    assert float(y) == 10 - math.sqrt(2)
+    assert float(fe(Fr(1, 3), Fr(1, 7), 3)) == 1 / 3 + 1 / 7 * math.sqrt(3)
 
 
 def test_total_order():
