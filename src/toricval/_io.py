@@ -3,7 +3,10 @@
 All numbers on the wire are exact: rationals are "num/den" strings, lattice
 data is JSON integers, infinity is the string "inf".  Decimals, unknown keys,
 and duplicate keys are rejected with a SchemaError carrying the location of
-the offending value.
+the offending value.  So are, at a byte or character offset, a file that is
+not UTF-8, nesting too deep for the parser and any digit run longer than
+MAX_DIGITS (Python's default int-string bound, kept whatever
+sys.set_int_max_str_digits says).
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ from .polyhedra import HalfSpace
 from .projtoric import HeightedConfig
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
+MAX_DIGITS = 4300
+_LONG_NUMERAL = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 def _reject_dupes(pairs):
@@ -42,7 +48,26 @@ def _reject_constant(token):
     raise SchemaError(f"non-finite float literal {token!r} is not allowed")
 
 
+def _deepest_bracket(text):
+    """Offset of the first bracket at the greatest nesting depth; brackets
+    inside strings do not count."""
+    depth, deepest, at = 0, 0, 0
+    for m in _STRING_OR_BRACKET.finditer(text):
+        if m.group() in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, m.start()
+        elif m.group() in ("]", "}"):
+            depth -= 1
+    return at
+
+
 def loads(text: str):
+    long = _LONG_NUMERAL.search(text)
+    if long:
+        raise SchemaError(
+            f"numeral of more than {MAX_DIGITS} digits", f"char {long.start()}"
+        )
     try:
         return json.loads(
             text,
@@ -51,11 +76,21 @@ def loads(text: str):
         )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(
+            "nested too deep for the parser", f"char {_deepest_bracket(text)}"
+        ) from None
 
 
 def load_path(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"not UTF-8 text: {exc.reason}", f"byte {exc.start}"
+            ) from None
+    return loads(text)
 
 
 def dumps(obj) -> str:

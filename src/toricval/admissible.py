@@ -51,9 +51,6 @@ class SlicePolyhedron:
     def key(self):
         return (self.vertices, self.recession_rays)
 
-    def is_point(self):
-        return len(self.vertices) == 1 and not self.recession_rays
-
 
 def slice_at_one(cone: Cone):
     """Slice a cone in R^n x R at s = 1.  Returns None when the slice is empty
@@ -147,10 +144,7 @@ class AdmissibleCone:
         """All faces as admissible cones (geometry from the kernel lattice,
         presentation from the original half-spaces plus tight negations)."""
         kfaces, edges = self.cone.face_lattice()
-        out = []
-        for f in kfaces:
-            out.append(self._wrap_face(f))
-        return out, edges
+        return [self._wrap_face(f) for f in kfaces], edges
 
     def _wrap_face(self, face: Cone):
         if face.key() == self.cone.key():

@@ -16,7 +16,7 @@ import sys
 from . import _io
 from .admissible import algebra_generators, bad_slice_vertices, is_finite_type
 from .classify import round_trip, saturation_check
-from .errors import MathematicalNo, NotAFan, SchemaError, ToricValError
+from .errors import MathematicalNo, NotAFan, ToricValError
 from .fans import product_fan, recession_fan, slice_complex
 from .linalg import primitive_int_vector
 from .projtoric import orbit_correspondence, weight_subdivision
@@ -290,9 +290,6 @@ def main(argv=None) -> int:
         report, code = _HANDLERS[ns.command](ns)
     except _UsageError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": "UsageError"}))
-        return 1
-    except SchemaError as exc:
-        sys.stdout.write(_io.dumps({"error": str(exc), "kind": "SchemaError"}))
         return 1
     except OSError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": "IOError"}))

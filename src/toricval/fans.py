@@ -18,24 +18,11 @@ from .admissible import is_finite_type, make_admissible
 from .errors import DimensionMismatch, FieldMismatch, NotAFan
 from .linalg import primitive_int_vector, vec
 from .ordfield import FE_ZERO, ValueGroup
-from .polyhedra import Cone, HalfSpace, vertical_normal
+from .polyhedra import Cone, HalfSpace, strict_inclusions, vertical_normal
 
 
 def _cone_sort_key(c: Cone):
     return (c.intrinsic_dim(), c.key())
-
-
-def _inclusion_poset(cones):
-    """All strict-inclusion pairs (i, j) with cones[i] a proper subset of
-    cones[j], for cones of one fan: proper subsets of canonical ray sets
-    (module notes)."""
-    rays = [frozenset(c.rays) for c in cones]
-    return tuple(
-        (i, j)
-        for i, a in enumerate(rays)
-        for j, b in enumerate(rays)
-        if a < b
-    )
 
 
 def _checked_closure(cones, kernel, faces):
@@ -66,15 +53,18 @@ def _checked_closure(cones, kernel, faces):
     for c in cones:
         uniq.setdefault(kernel(c).key(), c)
     items = sorted(uniq.values(), key=lambda c: _cone_sort_key(kernel(c)))
-    rays = [frozenset(kernel(c).rays) for c in items]
-    maximal = [c for c, r in zip(items, rays) if not any(r < o for o in rays)]
+    dominated = {
+        i for i, _ in strict_inclusions([frozenset(kernel(c).rays) for c in items])
+    }
+    maximal = [c for i, c in enumerate(items) if i not in dominated]
 
     closed = {}
     for c in maximal:
         for f in faces(c):
             closed.setdefault(f.key(), f)
     all_cones = sorted(closed.values(), key=lambda c: _cone_sort_key(kernel(c)))
-    return maximal, all_cones, _inclusion_poset([kernel(c) for c in all_cones])
+    poset = strict_inclusions([frozenset(kernel(c).rays) for c in all_cones])
+    return maximal, all_cones, tuple(poset)
 
 
 class Fan:
@@ -169,7 +159,7 @@ def slice_complex(fan: Fan) -> SliceComplex:
         by_key.setdefault(cell.key(), (cell, ac.cone))
     pairs = sorted(by_key.values(), key=lambda t: _cone_sort_key(t[1]))
     cells = tuple(p[0] for p in pairs)
-    poset = _inclusion_poset([p[1] for p in pairs])
+    poset = tuple(strict_inclusions([frozenset(p[1].rays) for p in pairs]))
     verts = set()
     for cell in cells:
         verts.update(cell.vertices)

@@ -105,9 +105,6 @@ class FieldElement:
     def field(self) -> FieldDescriptor:
         return RATIONALS if self.d is None else FieldDescriptor(self.d)
 
-    def is_rational(self) -> bool:
-        return self.d is None
-
     # -- arithmetic ---------------------------------------------------------
     # Each operation coerces by exact type first.  When an operand is rational
     # its irrational part is zero, so the result needs only the Q operations

@@ -21,6 +21,9 @@ pivots of an echelon basis chosen from the last coordinate and scaled by
 canonical_ray (the representative dd_pair's own reductions produce).  Face
 ray sets are the intersections of facet ray sets, each face's H-side read
 off the parent's constraints the same way, with no further run.
+
+face_lattice's index-set routines, meet_closure and strict_inclusions, serve
+the fan, slice-complex and weight-subdivision posets too.
 """
 
 from __future__ import annotations
@@ -155,15 +158,14 @@ def _other_side(dim, inputs, tight):
     """
     implicit = frozenset(range(len(inputs))).intersection(*tight)
     subspace, _ = rref([inputs[i] for i in implicit], dim)
-    zero_sets = {}
-    for i, v in enumerate(inputs):
-        if i not in implicit and not is_zero_vec(v):
-            zero_sets[i] = frozenset(k for k, t in enumerate(tight) if i in t)
+    live = [i for i, v in enumerate(inputs) if i not in implicit and not is_zero_vec(v)]
+    zero_sets = [frozenset(k for k, t in enumerate(tight) if i in t) for i in live]
+    dominated = {live[a] for a, _ in strict_inclusions(zero_sets)}
     rev, pivots = rref([v[::-1] for v in subspace], dim)
     basis = [(row[::-1], dim - 1 - p) for row, p in zip(rev, pivots)]
     kept = set()
-    for i, z in zero_sets.items():
-        if any(z < other for other in zero_sets.values()):
+    for i in live:
+        if i in dominated:
             continue
         v = inputs[i]
         for row, p in basis:
@@ -171,6 +173,26 @@ def _other_side(dim, inputs, tight):
                 v = vsub(v, vscale(v[p], row))
         kept.add(canonical_ray(v))
     return tuple(sorted(kept)), tuple(subspace)
+
+
+def meet_closure(seeds, cuts):
+    """The frozensets seeds and every set reached from one of them by
+    intersecting with cuts, one cut after another."""
+    found = set(seeds)
+    todo = list(found)
+    while todo:
+        cur = todo.pop()
+        for z in cuts:
+            meet = cur & z
+            if meet not in found:
+                found.add(meet)
+                todo.append(meet)
+    return found
+
+
+def strict_inclusions(sets):
+    """Every (i, j) with sets[i] a proper subset of sets[j], in index order."""
+    return [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b]
 
 
 class Cone:
@@ -210,9 +232,6 @@ class Cone:
 
     def key(self):
         return (self.dim, self.rays, self.lineality)
-
-    def is_pointed(self):
-        return not self.lineality
 
     def intrinsic_dim(self):
         return rank(list(self.rays) + list(self.lineality), self.dim)
@@ -259,15 +278,7 @@ class Cone:
             frozenset(k for k, t in enumerate(tight) if j in t)
             for j in range(len(self.facets))
         ]
-        found = {frozenset(range(len(self.rays)))}
-        todo = list(found)
-        while todo:
-            s = todo.pop()
-            for z in facet_sets:
-                face = s & z
-                if face not in found:
-                    found.add(face)
-                    todo.append(face)
+        found = meet_closure([frozenset(range(len(self.rays)))], facet_sets)
         keys = sorted(found, key=lambda s: (-len(s), sorted(s)))
         faces = []
         for s in keys:
@@ -276,13 +287,7 @@ class Cone:
             faces.append(
                 Cone(self.dim, [self.rays[i] for i in idx], self.lineality, facets, eqs)
             )
-        edges = [
-            (i, j)
-            for i, si in enumerate(keys)
-            for j, sj in enumerate(keys)
-            if i != j and si < sj
-        ]
-        self._faces = (faces, edges)
+        self._faces = (faces, strict_inclusions(keys))
         return self._faces
 
     def is_face_of(self, other):

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, ValueNotInGamma
 from .linalg import rank, vdot, vec
+from .admissible import slice_at_one
 from .ordfield import FE_ONE, FE_ZERO, FieldElement, ValueGroup, as_fe
-from .polyhedra import Cone
+from .polyhedra import Cone, meet_closure, strict_inclusions
 
 
 class HeightedConfig:
@@ -100,62 +101,43 @@ def heights_from_valuations(values, gamma: ValueGroup):
     return tuple(out)
 
 
-def _hull_vertices(n, points):
-    """Vertices of conv(points) for integer points, via the cone over the
-    configuration at t = 1."""
-    cone = Cone.from_rays(n + 1, [vec(u) + (FE_ONE,) for u in points])
-    verts = []
-    for r in cone.rays:
-        t = r[-1]
-        if t.sign() > 0:
-            verts.append(tuple(x / t for x in r[:-1]))
-    return verts
+def ccw_hull(points):
+    """Andrew's monotone chain: the vertices of the convex hull of plane
+    points, counterclockwise from the lexicographically smallest, points
+    inside an edge dropped.  Collinear points give the two ends; fewer than
+    three distinct points come back sorted.  Exact on exact coordinates."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
 
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-def _ccw_order(points):
-    """Exact counterclockwise angular order around the centroid, starting at
-    the lexicographically smallest point."""
-    k = as_fe(len(points))
-    cx = sum((p[0] for p in points), FE_ZERO) / k
-    cy = sum((p[1] for p in points), FE_ZERO) / k
-
-    def half(p):
-        vx, vy = p[0] - cx, p[1] - cy
-        # 0: positive x-axis and upper half; 1: negative x-axis and lower half
-        if vy.sign() > 0 or (vy.sign() == 0 and vx.sign() > 0):
-            return 0
-        return 1
-
-    def cross(p, q):
-        px, py = p[0] - cx, p[1] - cy
-        qx, qy = q[0] - cx, q[1] - cy
-        return (px * qy - py * qx).sign()
-
-    import functools
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        c = cross(p, q)
-        return -c
-
-    ordered = sorted(points, key=functools.cmp_to_key(cmp))
-    start = min(range(len(ordered)), key=lambda i: ordered[i])
-    return ordered[start:] + ordered[:start]
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
 
 
 def weight_polytope(cfg: HeightedConfig):
     """Ordered vertex list of the convex hull of the finite-height points:
     ascending for n = 1, counterclockwise from the lexicographically smallest
-    vertex for n = 2, lexicographic for n >= 3."""
+    vertex for n = 2 (ascending when they are collinear), lexicographic for
+    n >= 3."""
     pts = [cfg.points[j] for j in cfg.finite_indices()]
-    verts = _hull_vertices(cfg.n, pts)
     if cfg.n == 1:
-        return tuple(sorted(verts))
-    if cfg.n == 2 and len(verts) > 2:
-        return tuple(_ccw_order(verts))
-    return tuple(sorted(verts))
+        return tuple(vec(u) for u in sorted({min(pts), max(pts)}))
+    if cfg.n == 2:
+        return tuple(vec(u) for u in ccw_hull(pts))
+    cone = Cone.from_rays(cfg.n + 1, [vec(u) + (FE_ONE,) for u in pts])
+    return slice_at_one(cone).vertices
 
 
 @dataclass(frozen=True)
@@ -187,13 +169,6 @@ class Subdivision:
     face_dims: tuple
     poset: tuple
     certificates: dict
-
-    def top_cells(self):
-        return self.cells
-
-
-def _face_sort_key(dim, idxset):
-    return (-dim, idxset)
 
 
 def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
@@ -235,30 +210,18 @@ def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
     cells = sorted(certs)
 
     # faces: cells closed under intersection with cells and vertical facets
-    cuts = [frozenset(cell) for cell in cells] + vertical
-    found = set(cuts[:len(cells)])
-    todo = list(found)
-    while todo:
-        cur = todo.pop()
-        for z in cuts:
-            face = cur & z
-            if face and face not in found:
-                found.add(face)
-                todo.append(face)
+    cell_sets = [frozenset(cell) for cell in cells]
+    found = meet_closure(cell_sets, cell_sets + vertical)
+    found.discard(frozenset())
     faces = {}
     for face in found:
         idx = tuple(sorted(face))
         faces[idx] = rank([lifted[j][:n] + (FE_ONE,) for j in idx], n + 1) - 1
 
-    ordered = sorted(faces.items(), key=lambda kv: _face_sort_key(kv[1], kv[0]))
+    ordered = sorted(faces.items(), key=lambda kv: (-kv[1], kv[0]))
     face_list = tuple(idx for idx, _ in ordered)
     dims = tuple(d for _, d in ordered)
-    poset = []
-    for i, a in enumerate(face_list):
-        sa = set(a)
-        for j, b in enumerate(face_list):
-            if i != j and sa < set(b):
-                poset.append((i, j))
+    poset = strict_inclusions([frozenset(face) for face in face_list])
 
     return Subdivision(
         n,

@@ -14,7 +14,7 @@ import math
 from .admissible import SlicePolyhedron
 from .errors import DimensionTooHigh
 from .fans import SliceComplex
-from .projtoric import Subdivision
+from .projtoric import Subdivision, ccw_hull
 
 WIDTH, HEIGHT = 800, 600
 MARGIN = 70.0
@@ -32,30 +32,6 @@ def _to_float_pt(p):
     if len(p) == 1:
         return (float(p[0]), 0.0)
     return (float(p[0]), float(p[1]))
-
-
-def _hull_order(points):
-    """Andrew monotone chain; returns the hull boundary counterclockwise in
-    mathematical orientation."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 3 else pts
 
 
 class _Scene:
@@ -85,13 +61,12 @@ class _Scene:
         span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
         ray_len = max(0.35 * span, 1.0)
 
+        def tip(base, d):
+            norm = math.hypot(d[0], d[1]) or 1.0
+            return (base[0] + ray_len * d[0] / norm, base[1] + ray_len * d[1] / norm)
+
         # rays extend the bounding box
-        ends = []
-        for _, rays in self.cells:
-            for base, d in rays:
-                norm = math.hypot(d[0], d[1]) or 1.0
-                end = (base[0] + ray_len * d[0] / norm, base[1] + ray_len * d[1] / norm)
-                ends.append(end)
+        ends = [tip(base, d) for _, rays in self.cells for base, d in rays]
         if ends:
             xs += [e[0] for e in ends]
             ys += [e[1] for e in ends]
@@ -116,14 +91,10 @@ class _Scene:
         ]
 
         for i, (points, rays) in enumerate(self.cells):
-            drawn = [T(p) for p in points]
-            for base, d in rays:
-                norm = math.hypot(d[0], d[1]) or 1.0
-                drawn.append(
-                    T((base[0] + ray_len * d[0] / norm,
-                       base[1] + ray_len * d[1] / norm))
-                )
-            hull = _hull_order(drawn)
+            drawn = [T(p) for p in points] + [T(tip(base, d)) for base, d in rays]
+            hull = ccw_hull(drawn)
+            if len(hull) < 3:
+                hull = sorted(set(drawn))
             color = PALETTE[i % len(PALETTE)]
             if len(hull) >= 3:
                 body = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in hull)
@@ -139,10 +110,7 @@ class _Scene:
                     f'stroke-linecap="round"/>'
                 )
             for base, d in rays:
-                norm = math.hypot(d[0], d[1]) or 1.0
-                tip = (base[0] + ray_len * d[0] / norm,
-                       base[1] + ray_len * d[1] / norm)
-                (x1, y1), (x2, y2) = T(base), T(tip)
+                (x1, y1), (x2, y2) = T(base), T(tip(base, d))
                 out.append(
                     f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
                     f'y2="{_fmt(y2)}" stroke="{EDGE}" stroke-width="1.5" '

@@ -4,8 +4,9 @@ Each oracle reimplements the quantity under test with a different algorithm
 (interval arithmetic, exhaustive subset enumeration, brute-force coefficient
 search) so that agreement is meaningful evidence rather than a tautology.
 Only FieldElement arithmetic is borrowed from the package, apart from
-cell_cone_faces, which takes the long way through one kernel cone per lower
-facet and per cell, and the reference routes for the semigroup searches
+cell_cone_faces and weight_polytope_reference, which take the long way
+through kernel cones (one per lower facet and per cell, or one over the
+points), and the reference routes for the semigroup searches
 (pairwise_generators, dfs_saturation_check), which build the package's
 GeneratorSet and its hull; every algorithm here is deliberately naive.
 """
@@ -16,6 +17,8 @@ from fractions import Fraction
 import mpmath
 
 from toricval import BoundTooSmall, Cone, FieldElement, GeneratorSet, fe
+from toricval.linalg import vec
+from toricval.ordfield import FE_ONE, FE_ZERO, as_fe
 
 # -- interval-arithmetic sign -----------------------------------------------
 
@@ -488,3 +491,68 @@ def brute_inclusion(cones):
 
     return [(i, j) for i, a in enumerate(cones) for j, b in enumerate(cones)
             if i != j and inside(a, b) and not inside(b, a)]
+
+
+# -- weight polytopes from one cone --------------------------------------------
+#
+# Vertices from the cone over the points at t = 1, ordered in the plane by
+# an exact angular sort around their centroid: a route that shares nothing
+# with the monotone chain of projtoric.ccw_hull.
+
+
+def _hull_vertices(n, points):
+    """Vertices of conv(points) for integer points, via the cone over the
+    configuration at t = 1."""
+    cone = Cone.from_rays(n + 1, [vec(u) + (FE_ONE,) for u in points])
+    verts = []
+    for r in cone.rays:
+        t = r[-1]
+        if t.sign() > 0:
+            verts.append(tuple(x / t for x in r[:-1]))
+    return verts
+
+
+def _ccw_order(points):
+    """Exact counterclockwise angular order around the centroid, starting at
+    the lexicographically smallest point."""
+    k = as_fe(len(points))
+    cx = sum((p[0] for p in points), FE_ZERO) / k
+    cy = sum((p[1] for p in points), FE_ZERO) / k
+
+    def half(p):
+        vx, vy = p[0] - cx, p[1] - cy
+        # 0: positive x-axis and upper half; 1: negative x-axis and lower half
+        if vy.sign() > 0 or (vy.sign() == 0 and vx.sign() > 0):
+            return 0
+        return 1
+
+    def cross(p, q):
+        px, py = p[0] - cx, p[1] - cy
+        qx, qy = q[0] - cx, q[1] - cy
+        return (px * qy - py * qx).sign()
+
+    import functools
+
+    def cmp(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        c = cross(p, q)
+        return -c
+
+    ordered = sorted(points, key=functools.cmp_to_key(cmp))
+    start = min(range(len(ordered)), key=lambda i: ordered[i])
+    return ordered[start:] + ordered[:start]
+
+
+def weight_polytope_reference(cfg):
+    """Vertices of the hull of the finite-height points: ascending for
+    n = 1, counterclockwise from the lexicographically smallest for n = 2
+    with more than two vertices, lexicographic otherwise."""
+    pts = [cfg.points[j] for j in cfg.finite_indices()]
+    verts = _hull_vertices(cfg.n, pts)
+    if cfg.n == 1:
+        return tuple(sorted(verts))
+    if cfg.n == 2 and len(verts) > 2:
+        return tuple(_ccw_order(verts))
+    return tuple(sorted(verts))

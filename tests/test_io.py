@@ -5,14 +5,19 @@ malformed rational strings; every writer must be byte-deterministic and
 round-trip through its reader.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 from catalog import BY_NAME, G_S2, G_SIXTH, G_TRIV, G_Z, SQRT2, config_p1_inf
 from toricval import SchemaError, fe
 from toricval._io import (
+    MAX_DIGITS,
+    _deepest_bracket,
     cone_file_from_json,
     cone_file_to_json,
     config_from_json,
@@ -30,6 +35,7 @@ from toricval._io import (
     parse_rational,
     rational_fan_from_json,
 )
+from toricval.cli import main
 
 
 # -- rational strings -----------------------------------------------------------
@@ -77,6 +83,73 @@ def test_unknown_keys_rejected():
     with pytest.raises(SchemaError) as exc:
         fe_from_json(doc, None, "root")
     assert "zz" in str(exc.value)
+
+
+# -- faults below the JSON grammar, through the CLI ------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _check_cone_report(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["check-cone", str(path)])
+    return code, json.loads(buf.getvalue())
+
+
+def _c1_with(edit):
+    doc = json.loads((FIXTURES / "C1.json").read_text(encoding="utf-8"))
+    edit(doc["cone"]["halfspaces"][0])
+    return doc
+
+
+def test_non_utf8_file_is_schema_error(tmp_path):
+    code, report = _check_cone_report(tmp_path, b"\xff\xfe{}")
+    assert code == 1
+    assert report == {"error": "byte 0: not UTF-8 text: invalid start byte",
+                      "kind": "SchemaError"}
+
+
+def _offset_report(tmp_path, text, marker):
+    """The report on text, and the character offset of marker in it."""
+    code, report = _check_cone_report(tmp_path, text.encode())
+    assert code == 1
+    assert report["kind"] == "SchemaError"
+    return report["error"], text.index(marker)
+
+
+def test_long_rational_numerator_is_schema_error(tmp_path):
+    text = json.dumps(_c1_with(lambda h: h["c"].update(p="7" * 5000 + "/1")))
+    error, at = _offset_report(tmp_path, text, "777")
+    assert error == f"char {at}: numeral of more than 4300 digits"
+
+
+def test_long_json_integer_is_schema_error(tmp_path):
+    text = json.dumps(_c1_with(lambda h: h.update(u=["@"])))
+    text = text.replace('"@"', "7" * 5000)
+    error, at = _offset_report(tmp_path, text, "777")
+    assert error == f"char {at}: numeral of more than 4300 digits"
+
+
+def test_deep_nesting_is_schema_error(tmp_path):
+    error, _ = _offset_report(tmp_path, "[" * 100_000, "[")
+    assert error == "char 99999: nested too deep for the parser"
+
+
+def test_deepest_bracket_skips_strings():
+    text = '{"a": ["\\"[[[", [{"b": "]"}]], "c": [[]]}'
+    assert _deepest_bracket(text) == text.index('{"b"')
+
+
+def test_numeral_limit_is_inclusive():
+    edge = "9" * MAX_DIGITS
+    assert loads(f'[-{edge}, "-{edge}/{edge}"]') == [-int(edge), f"-{edge}/{edge}"]
+    assert parse_rational(f"-{edge}/{edge}", "x") == -1
+    for text, at in ((f"[{edge}1]", 1), (f'["1/{edge}1"]', 4)):
+        with pytest.raises(SchemaError, match=f"char {at}: numeral of more than 4300"):
+            loads(text)
 
 
 def test_decimal_rejected_in_field_element():

@@ -16,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import CONFIGS, G_S2, G_Z, SQRT2, random_heighted_config
-from oracles import cell_cone_faces, faces_of_cells_1d, lower_cells_1d
+from oracles import (
+    cell_cone_faces,
+    faces_of_cells_1d,
+    lower_cells_1d,
+    weight_polytope_reference,
+)
 from toricval import (
     Cone,
     HeightedConfig,
@@ -89,6 +94,36 @@ def test_weight_polytope_square_ccw():
 def test_weight_polytope_single_point():
     cfg = HeightedConfig(1, [(3,)], [fe(0)])
     assert weight_polytope(cfg) == ((fe(3),),)
+
+
+@st.composite
+def weight_configs(draw):
+    """Configurations in rank 1 to 3: scattered, collinear (a line through
+    a base point, a zero step allowed) or with repeated points, some heights
+    infinite."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    point = st.tuples(*[st.integers(-3, 3)] * n)
+    kind = draw(st.sampled_from(["scattered", "collinear", "repeated"]))
+    if kind == "collinear":
+        base = draw(point)
+        step = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        ts = draw(st.lists(st.integers(-3, 4), min_size=1, max_size=6))
+        pts = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+    else:
+        pts = draw(st.lists(point, min_size=1, max_size=7))
+        if kind == "repeated":
+            pts += pts[:draw(st.integers(1, len(pts)))]
+    heights = draw(st.lists(st.none() | st.integers(-5, 5).map(fe),
+                            min_size=len(pts), max_size=len(pts)))
+    if all(h is None for h in heights):
+        heights[draw(st.integers(0, len(pts) - 1))] = fe(0)
+    return HeightedConfig(n, pts, heights)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(weight_configs())
+def test_weight_polytope_matches_cone_reference(cfg):
+    assert weight_polytope(cfg) == weight_polytope_reference(cfg)
 
 
 # -- subdivisions: 1-d oracle ----------------------------------------------------
@@ -237,9 +272,9 @@ def test_subdivision_matches_cell_cone_oracle(cfg):
         assert list(sub.cells) == lower_cells_1d(cfg.points, cfg.heights)
 
 
-def test_weight_subdivision_two_dd_runs(monkeypatch):
-    # one for the lifted hull, one for weight_polytope; cells and faces are
-    # read off the hull's incidences
+def test_weight_subdivision_one_dd_run(monkeypatch):
+    # the lifted hull; cells and faces are read off its incidences, and the
+    # weight polygon is a plane hull of the integer points
     calls = []
     real = polyhedra.dd_pair
     monkeypatch.setattr(polyhedra, "dd_pair",
@@ -249,7 +284,7 @@ def test_weight_subdivision_two_dd_runs(monkeypatch):
         [fe((i * i + 2 * j * j) % 5) for i in range(3) for j in range(3)])
     sub = weight_subdivision(cfg)
     assert len(sub.cells) > 2
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_shift_invariance():
