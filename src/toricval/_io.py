@@ -6,7 +6,8 @@ and duplicate keys are rejected with a SchemaError carrying the location of
 the offending value.  So are, at a byte or character offset, a file that is
 not UTF-8, nesting too deep for the parser and any digit run longer than
 MAX_DIGITS (Python's default int-string bound, kept whatever
-sys.set_int_max_str_digits says).
+sys.set_int_max_str_digits says).  The writers hold output to the same bound:
+numeral and int_list raise NumeralTooLong on a longer integer.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import re
 
 from ._rational import Q, qstr
 from .admissible import AdmissibleCone, GeneratorSet, SemigroupElement, make_admissible
-from .errors import SchemaError
-from .fans import Fan, fan_from_cones
+from .errors import NumeralTooLong, SchemaError
+from .fans import Fan, fan_from_cones, rational_fan_from_cones
 from .ordfield import (
     RATIONALS,
     FieldDescriptor,
@@ -117,6 +118,8 @@ def parse_rational(s, loc) -> Q:
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise SchemaError(f"expected an exact \"num/den\" string, got {s!r}", loc)
     num, den = s.split("/")
+    if max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
+        raise SchemaError(f"numeral of more than {MAX_DIGITS} digits", loc)
     return Q(int(num), int(den))
 
 
@@ -126,8 +129,30 @@ def parse_int(x, loc) -> int:
     return x
 
 
+def _checked(x):
+    """x, an int or a rational, once its numerator and denominator are known
+    to have at most MAX_DIGITS digits."""
+    for k in (x.numerator, x.denominator):
+        # |k| < 2^(3 * MAX_DIGITS) < 10^MAX_DIGITS needs no power
+        if k.bit_length() > 3 * MAX_DIGITS and abs(k) >= 10 ** MAX_DIGITS:
+            raise NumeralTooLong(f"output numeral of more than {MAX_DIGITS} digits")
+    return x
+
+
+def numeral(x) -> str:
+    """str(x) for a field element, rational or int on the wire."""
+    for part in (x.p, x.q) if isinstance(x, FieldElement) else (x,):
+        _checked(part)
+    return str(x)
+
+
+def int_list(v):
+    """An integer vector on the wire, each entry checked like numeral's."""
+    return [_checked(k) for k in v]
+
+
 def fe_to_json(x: FieldElement):
-    return {"p": qstr(x.p), "q": qstr(x.q)}
+    return {"p": qstr(_checked(x.p)), "q": qstr(_checked(x.q))}
 
 
 def fe_from_json(obj, d, loc) -> FieldElement:
@@ -187,7 +212,7 @@ def cone_to_json(ac: AdmissibleCone):
     return {
         "n": ac.n,
         "halfspaces": [
-            {"u": list(h.u), "c": fe_to_json(h.c)} for h in ac.halfspaces
+            {"u": int_list(h.u), "c": fe_to_json(h.c)} for h in ac.halfspaces
         ],
     }
 
@@ -267,7 +292,7 @@ def genset_from_json(obj) -> GeneratorSet:
 def genset_to_json(gens: GeneratorSet):
     return {
         "gamma": gamma_to_json(gens.gamma),
-        "gens": [{"u": list(e.u), "g": fe_to_json(e.g)} for e in gens],
+        "gens": [{"u": int_list(e.u), "g": fe_to_json(e.g)} for e in gens],
     }
 
 
@@ -324,8 +349,6 @@ def config_to_json(cfg: HeightedConfig, gamma=None):
 
 def rational_fan_from_json(obj):
     """Input for the product construction: {"n", "gamma", "cones": [[ray...]]}."""
-    from .fans import rational_fan_from_cones
-
     _expect_object(obj, ("n", "gamma", "cones"), "")
     n = parse_int(_require(obj, "n", ""), "n")
     gamma = gamma_from_json(_require(obj, "gamma", ""))

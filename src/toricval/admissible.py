@@ -84,7 +84,7 @@ class AdmissibleCone:
     """
 
     __slots__ = ("n", "gamma", "halfspaces", "cone", "vertical_tight",
-                 "certified", "_slice", "_have_slice", "_int_slice")
+                 "_slice", "_have_slice", "_int_slice")
 
     def __init__(self, n, gamma, halfspaces, cone, vertical_tight=False):
         self.n = n
@@ -92,7 +92,6 @@ class AdmissibleCone:
         self.halfspaces = tuple(halfspaces)
         self.cone = cone
         self.vertical_tight = vertical_tight
-        self.certified = True
         self._slice = None
         self._have_slice = False
         self._int_slice = None
@@ -386,11 +385,8 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
     ValueGroup.pair_coords and has_coords); only kept generators become
     field elements.
 
-    The certificate reads the hull's H-side: hull == dual cone exactly when
-    hull's dual == the cone (biduality), and both sides of
-    hull.facets == cone.rays, hull.equations == cone.lineality are the
-    canonical output of one dd_pair run (the hull's from its generators,
-    the cone's from its constraints), so no further run is needed.
+    The certificate is biduality: hull == dual cone exactly when the hull's
+    dual, its two sides swapped, is the cone.
     """
     if bound < 1:
         raise ValueError(f"degree bound must be >= 1, got {bound}")
@@ -434,7 +430,6 @@ def algebra_generators(ac: AdmissibleCone, bound: int) -> GeneratorSet:
             kept.append(SemigroupElement(u, _height_value(isl, a, b)))
 
     gens = GeneratorSet(ac.n, gamma, kept)
-    hull = gens.hull()
-    if hull.facets != ac.cone.rays or hull.equations != ac.cone.lineality:
+    if gens.hull().dual() != ac.cone:
         raise BoundTooSmall(bound, "generated cone does not reach the dual cone")
     return gens

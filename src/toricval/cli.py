@@ -73,7 +73,7 @@ def _build_parser():
 
 
 def _vec_str(v):
-    return [str(x) for x in v]
+    return [_io.numeral(x) for x in v]
 
 
 def _slice_report(ac):
@@ -82,7 +82,7 @@ def _slice_report(ac):
         return [], []
     return (
         [_vec_str(v) for v in cell.vertices],
-        [list(r) for r in cell.recession_rays],
+        [_io.int_list(r) for r in cell.recession_rays],
     )
 
 
@@ -159,7 +159,7 @@ def _cmd_slice(ns):
         "cells": [
             {
                 "vertices": [_vec_str(v) for v in cell.vertices],
-                "recession_rays": [list(r) for r in cell.recession_rays],
+                "recession_rays": [_io.int_list(r) for r in cell.recession_rays],
             }
             for cell in sc.cells
         ],
@@ -176,7 +176,7 @@ def _cmd_recession(ns):
     report = {
         "n": rf.n,
         "cones": [
-            [list(primitive_int_vector(r)) for r in c.rays] for c in rf.cones
+            [_io.int_list(primitive_int_vector(r)) for r in c.rays] for c in rf.cones
         ],
         "poset": [list(e) for e in rf.poset],
     }
@@ -196,8 +196,8 @@ def _cmd_weightsub(ns):
     for cell in sorted(sub.certificates):
         cert = sub.certificates[cell]
         certs[",".join(str(j) for j in cell)] = {
-            "phi": [str(x) for x in cert.phi],
-            "beta": str(cert.beta),
+            "phi": _vec_str(cert.phi),
+            "beta": _io.numeral(cert.beta),
             "tight": list(cert.tight),
         }
     report = {
@@ -283,10 +283,6 @@ def main(argv=None) -> int:
     """
     try:
         ns = _build_parser().parse_args(argv)
-    except _UsageError as exc:
-        sys.stdout.write(_io.dumps({"error": str(exc), "kind": "UsageError"}))
-        return 1
-    try:
         report, code = _HANDLERS[ns.command](ns)
     except _UsageError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": "UsageError"}))

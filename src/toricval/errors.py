@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-Split in two families: SchemaError and its kin mean the *input* was malformed
-(CLI exit code 1), subclasses of MathematicalNo mean the input was well-formed
-but the mathematical answer is negative (CLI exit code 2).
+Split in two families: SchemaError and its kin mean the *input* was malformed,
+or for NumeralTooLong that a result is too long to write (CLI exit code 1);
+subclasses of MathematicalNo mean the input was well-formed but the
+mathematical answer is negative (CLI exit code 2).
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ class DimensionMismatch(ToricValError):
 
 class DimensionTooHigh(ToricValError):
     """Rendering request beyond the supported ambient dimension."""
+
+
+class NumeralTooLong(ToricValError):
+    """An output numeral would have more digits than the wire format allows."""
 
 
 class MathematicalNo(ToricValError):

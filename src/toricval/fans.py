@@ -230,14 +230,12 @@ def product_fan(pi, gamma: ValueGroup) -> Fan:
         rf = pi
     else:
         pi = list(pi)
-        n = pi[0].dim if isinstance(pi[0], Cone) else None
-        if n is None:
-            for c in pi:
-                for r in c:
-                    n = len(r)
-                    break
-                if n is not None:
-                    break
+        if not pi:
+            raise ValueError("a fan needs at least one cone")
+        if isinstance(pi[0], Cone):
+            n = pi[0].dim
+        else:
+            n = next((len(r) for c in pi for r in c), None)
         if n is None:
             raise ValueError("cannot infer the ambient dimension from pi")
         rf = rational_fan_from_cones(n, pi)

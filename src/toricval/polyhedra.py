@@ -20,7 +20,8 @@ by inclusion are the irredundant ones, reduced modulo that subspace at the
 pivots of an echelon basis chosen from the last coordinate and scaled by
 canonical_ray (the representative dd_pair's own reductions produce).  Face
 ray sets are the intersections of facet ray sets, each face's H-side read
-off the parent's constraints the same way, with no further run.
+off the parent's constraints the same way, with no further run; a dual
+is the two sides swapped.
 
 face_lattice's index-set routines, meet_closure and strict_inclusions, serve
 the fan, slice-complex and weight-subdivision posets too.
@@ -33,7 +34,6 @@ from .linalg import (
     canonical_ray,
     int_vector,
     is_zero_vec,
-    rank,
     rref,
     vdot,
     vec,
@@ -74,15 +74,6 @@ class HalfSpace:
         return f"HalfSpace({self.u}, {self.c})"
 
 
-def _unit_vectors(dim):
-    rows = []
-    for i in range(dim):
-        v = [FE_ZERO] * dim
-        v[i] = FE_ONE
-        rows.append(tuple(v))
-    return rows
-
-
 def dd_pair(dim, normals):
     """V-representation of {x : a . x >= 0 for a in normals}.
 
@@ -90,7 +81,7 @@ def dd_pair(dim, normals):
     canonical basis of the lineality space, and for each ray the frozenset of
     input indices tight on it (zero inputs are never listed).
     """
-    lin = _unit_vectors(dim)
+    lin = [tuple(FE_ONE if i == j else FE_ZERO for j in range(dim)) for i in range(dim)]
     rays = []  # [vector, tight-index-set] pairs
     processed = []
     for idx, a in enumerate(normals):
@@ -221,9 +212,7 @@ class Cone:
     def from_rays(dim, rays, lineality=()):
         lineality = [vec(l) for l in lineality]
         gens = [vec(r) for r in rays] + lineality + [vneg(l) for l in lineality]
-        facets, eqs, tight = dd_pair(dim, gens)
-        crays, clin = _other_side(dim, gens, tight)
-        return Cone(dim, crays, clin, facets, eqs)
+        return Cone.from_constraints(dim, gens).dual()
 
     # -- basic queries --------------------------------------------------------
 
@@ -234,7 +223,8 @@ class Cone:
         return (self.dim, self.rays, self.lineality)
 
     def intrinsic_dim(self):
-        return rank(list(self.rays) + list(self.lineality), self.dim)
+        """dim minus the equations, an echelon basis of span(C)^perp."""
+        return self.dim - len(self.equations)
 
     def is_trivial(self):
         return not self.rays and not self.lineality
@@ -255,11 +245,9 @@ class Cone:
         )
 
     def dual(self):
-        """Dual cone, recomputed from the V-side (not a stored-data swap)."""
-        normals = list(self.rays) + list(self.lineality) + [
-            vneg(l) for l in self.lineality
-        ]
-        return Cone.from_constraints(self.dim, normals)
+        """Dual cone: the sides swapped.  Both are canonical, so a run from the
+        V-side would return these very tuples."""
+        return Cone(self.dim, self.facets, self.equations, self.rays, self.lineality)
 
     # -- faces ----------------------------------------------------------------
 
@@ -314,17 +302,3 @@ class Cone:
 
 def vertical_normal(n):
     return tuple([FE_ZERO] * n) + (FE_ONE,)
-
-
-def dd_convert(halfspaces, n):
-    """V-representation of a half-space intersection inside {s >= 0}.
-
-    The vertical constraint s >= 0 is structural and always appended; callers
-    never supply it.  Returns (rays, lineality) in canonical form.
-    """
-    normals = [
-        (h if isinstance(h, HalfSpace) else HalfSpace(*h)).normal()
-        for h in halfspaces
-    ]
-    normals.append(vertical_normal(n))
-    return dd_pair(n + 1, normals)[:2]

@@ -4,6 +4,7 @@ Each oracle reimplements the quantity under test with a different algorithm
 (interval arithmetic, exhaustive subset enumeration, brute-force coefficient
 search) so that agreement is meaningful evidence rather than a tautology.
 Only FieldElement arithmetic is borrowed from the package, apart from
+fresh_dual, a second double description run where Cone.dual swaps sides,
 cell_cone_faces and weight_polytope_reference, which take the long way
 through kernel cones (one per lower facet and per cell, or one over the
 points), and the reference routes for the semigroup searches
@@ -17,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from toricval import BoundTooSmall, Cone, FieldElement, GeneratorSet, fe
-from toricval.linalg import vec
+from toricval.linalg import vec, vneg
 from toricval.ordfield import FE_ONE, FE_ZERO, as_fe
 
 # -- interval-arithmetic sign -----------------------------------------------
@@ -156,6 +157,29 @@ def canon_rays(rays):
     return sorted(out)
 
 
+def sides(cone):
+    """The four canonical tuples of a cone: rays, lineality, facets, equations."""
+    return cone.rays, cone.lineality, cone.facets, cone.equations
+
+
+def fresh_dual(cone):
+    """The dual cone from a new double description run with cone's rays,
+    lineality and negated lineality as constraints: the reference for
+    Cone.dual, which swaps the two sides with no run."""
+    lin = list(cone.lineality)
+    return Cone.from_constraints(
+        cone.dim, list(cone.rays) + lin + [vneg(l) for l in lin]
+    )
+
+
+def assert_biduality(cone, label=""):
+    """A fresh run on the V-side gives Cone.dual field by field, and a
+    fresh run on that dual's V-side gives the cone back."""
+    d = fresh_dual(cone)
+    assert sides(d) == sides(cone.dual()), f"{label}: swapped dual differs"
+    assert sides(fresh_dual(d)) == sides(cone), f"{label}: no biduality"
+
+
 # -- face lattice by facet-subset enumeration ---------------------------------
 
 
@@ -249,7 +273,7 @@ def pairwise_generators(ac, bound):
         if not decomposable:
             kept.append((u, g))
     gens = GeneratorSet(ac.n, ac.gamma, kept)
-    if gens.hull() != ac.cone.dual():
+    if gens.hull() != fresh_dual(ac.cone):
         raise BoundTooSmall(bound, "generated cone does not reach the dual cone")
     return gens
 

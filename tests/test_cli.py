@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricval import polyhedra
 from toricval.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,6 +116,42 @@ def test_saturated_payload():
     payload = json.loads(out)
     assert code == 0
     assert payload["status"] == "saturated"
+
+
+# double description runs per command, one per cone built (parsed cones,
+# generator hulls, rebuilt cones, fan pair intersections, recession and
+# lifted cones); duals and faces cost none
+DD_RUNS = [
+    (1, ["check-cone", "C1.json"]),
+    (1, ["check-cone", "C2.json"]),
+    (1, ["dual", "C1.json"]),
+    (1, ["dual", "Quad23.json"]),
+    (2, ["generators", "C1.json", "--bound", "2"]),
+    (3, ["round-trip", "C1.json", "--bound", "2"]),
+    (3, ["fan-validate", "F1.json"]),
+    (6, ["fan-validate", "F2.json"]),
+    (3, ["fan-validate", "nonfan.json"]),
+    (6, ["slice", "F2.json"]),
+    (12, ["recession", "F2.json"]),
+    (12, ["product-fan", "prodfan1.json"]),
+    (15, ["product-fan", "prodfan2.json"]),
+    (1, ["weightsub", "P2.json"]),
+    (1, ["orbits", "P1.json"]),
+    (1, ["saturation", "gens-witness.json", "--bu", "3", "--kmax", "3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "runs,argv", DD_RUNS, ids=["-".join(a[:2]) for _, a in DD_RUNS],
+)
+def test_dd_runs_per_command(monkeypatch, runs, argv):
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    code, _ = run_cli(argv[0], fx(argv[1]), *argv[2:])
+    assert code in (0, 2)
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,13 @@
-"""No private module-level function or class of the package goes unused.
+"""No private module-level function or class, and no slot, of the package
+goes unused.
 
 A plain AST scan in the style of test_imports.py: every ``def _name`` or
 ``class _name`` at the top level of a module under ``src/toricval`` must be
 referenced somewhere in the package, as a name or as an attribute
-(``module._name``).  Public names are the API and are exempt.
+(``module._name``).  Public names are the API and are exempt.  Every
+``__slots__`` entry of a package class must be read somewhere in the
+package, as an attribute in load context (``obj.slot``); a slot that is
+only ever assigned holds dead state.
 """
 
 import ast
@@ -48,6 +52,40 @@ def unreferenced(sources):
     ]
 
 
+def slot_entries(tree):
+    """(class, line, slot) for every ``__slots__`` entry of a class."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+            ):
+                slots = ast.literal_eval(stmt.value)
+                if isinstance(slots, str):
+                    slots = (slots,)
+                out.extend((node.name, stmt.lineno, slot) for slot in slots)
+    return out
+
+
+def unread_slots(sources):
+    """(module, class, line, slot) for slots no module reads as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (module, cls, line, slot)
+        for module, tree in sorted(trees.items())
+        for cls, line, slot in slot_entries(tree)
+        if slot not in read
+    ]
+
+
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unreferenced(sources) == []
@@ -71,6 +109,30 @@ def test_scanner_flags_unused_and_spares_used():
         ),
     }
     assert unreferenced(sources) == [("a.py", 1, "_dead"), ("b.py", 4, "_Lost")]
+
+
+def test_every_slot_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_slots(sources) == []
+
+
+def test_slot_scanner_flags_write_only_slots():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    __slots__ = ('kept', 'dead', '_cache')\n"
+            "    def __init__(self):\n"
+            "        self.kept = self.dead = self._cache = 0\n"
+            "    def get(self):\n"
+            "        return self.kept\n"
+            "class B:\n"
+            "    __slots__ = 'lone'\n"
+        ),
+        "b.py": "def peek(a):\n    return a._cache\n",
+    }
+    assert unread_slots(sources) == [
+        ("a.py", "A", 2, "dead"), ("a.py", "B", 8, "lone"),
+    ]
 
 
 def test_scan_covers_the_package():

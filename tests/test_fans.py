@@ -202,6 +202,15 @@ def test_product_fan_accepts_ray_lists():
     )
 
 
+def test_product_fan_needs_a_cone_and_a_ray():
+    with pytest.raises(ValueError, match="a fan needs at least one cone"):
+        product_fan([], G_Z)
+    with pytest.raises(ValueError, match="cannot infer the ambient dimension"):
+        product_fan([[], []], G_Z)
+    # n comes from the first ray of any cone
+    assert product_fan([[], [(1,)]], G_Z) == product_fan([[(1,)]], G_Z)
+
+
 # -- finite type -----------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from catalog import BY_NAME, G_S2, G_SIXTH, G_TRIV, G_Z, SQRT2, config_p1_inf
-from toricval import SchemaError, fe
+from toricval import NumeralTooLong, SchemaError, fe
 from toricval._io import (
     MAX_DIGITS,
     _deepest_bracket,
@@ -31,7 +31,9 @@ from toricval._io import (
     gamma_to_json,
     genset_from_json,
     genset_to_json,
+    int_list,
     loads,
+    numeral,
     parse_rational,
     rational_fan_from_json,
 )
@@ -150,6 +152,78 @@ def test_numeral_limit_is_inclusive():
     for text, at in ((f"[{edge}1]", 1), (f'["1/{edge}1"]', 4)):
         with pytest.raises(SchemaError, match=f"char {at}: numeral of more than 4300"):
             loads(text)
+
+
+def test_long_numeral_in_memory_is_schema_error():
+    long = "1" * (MAX_DIGITS + 1)
+    for doc, at in (({"p": long + "/1", "q": "0/1"}, "x.p"),
+                    ({"p": "0/1", "q": "-1/" + long}, "x.q")):
+        with pytest.raises(SchemaError, match=f"^{at}: numeral of more than 4300"):
+            fe_from_json(doc, 2, "x")
+
+
+def _long_output_cone():
+    """A valid cone file whose every numeral has at most 3001 digits, while
+    its slice vertex (-a, a + e) has a denominator of about 6000 digits."""
+    big = 10 ** 3000
+
+    def rat(num, den=1):
+        return {"p": f"{num}/{den}", "q": "0/1"}
+
+    a, e = rat(1, big + 1), rat(1, big + 3)
+    return {
+        "gamma": {"field": {"kind": "rational"}, "generators": [a, e]},
+        "cone": {"n": 2, "halfspaces": [
+            {"u": [1, 0], "c": a},
+            {"u": [0, 1], "c": rat(0)},
+            {"u": [-1, -1], "c": e},
+        ]},
+    }
+
+
+def test_long_output_numeral_is_reported(tmp_path):
+    code, report = _check_cone_report(
+        tmp_path, json.dumps(_long_output_cone()).encode()
+    )
+    assert code == 1
+    assert report == {"error": "output numeral of more than 4300 digits",
+                      "kind": "NumeralTooLong"}
+
+
+def test_long_output_json_integer_is_reported(tmp_path):
+    """The recession ray (1, -a, ab) of a fan cone cut out by (a, 1, 0),
+    (0, b, 1) and (1, 0, b), with a and b of 3001 digits."""
+    a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
+    zero = {"p": "0/1", "q": "0/1"}
+    doc = {
+        "gamma": {"field": {"kind": "rational"},
+                  "generators": [{"p": "1/1", "q": "0/1"}]},
+        "cones": [{"n": 3, "halfspaces": [
+            {"u": u, "c": zero} for u in ([a, 1, 0], [0, b, 1], [1, 0, b])
+        ]}],
+    }
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["recession", str(path)])
+    assert code == 1
+    assert json.loads(buf.getvalue())["kind"] == "NumeralTooLong"
+
+
+def test_output_numeral_limit_is_inclusive():
+    edge = 10 ** MAX_DIGITS - 1
+    ok = fe(Fr(-edge, edge - 1), Fr(1, edge), 2)
+    assert numeral(ok) == str(ok)
+    assert fe_to_json(ok)["q"] == f"1/{edge}"
+    assert int_list([edge, -edge]) == [edge, -edge]
+    for call, arg in ((numeral, fe(Fr(1, edge + 1))),
+                      (numeral, fe(0, -edge - 1, 2)),
+                      (numeral, edge + 1),
+                      (fe_to_json, fe(edge + 1)),
+                      (int_list, [0, -edge - 1])):
+        with pytest.raises(NumeralTooLong, match="more than 4300 digits"):
+            call(arg)
 
 
 def test_decimal_rejected_in_field_element():

@@ -2,12 +2,13 @@
 
 Extreme rays are cross-checked against an exhaustive subset-enumeration
 oracle; face counts against closed-form values for simplicial cones, cones
-over cubes and cones over polygons; biduality holds literally on canonical
-ray sets.  Property tests over random cones (Q and Q(sqrt 2), with and
-without lineality, of every intrinsic dimension) check that one double
-description run per cone gives the same canonical data as running the
-converter on both sides, and that the face lattice matches facet-subset
-enumeration.
+over cubes and cones over polygons; Cone.dual, a swap of the two sides, is
+checked against a fresh run on the V-side and biduality against a second one.
+Property tests over random cones (Q and Q(sqrt 2), with and without
+lineality, of every intrinsic dimension) check that one double description
+run per cone gives the same canonical data as running the converter on both
+sides, that duals and dimensions of every face match fresh runs and ranks,
+and that the face lattice matches facet-subset enumeration.
 """
 
 import random
@@ -18,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog import CONES
-from oracles import brute_face_sets, brute_rays, canon_rays
+from oracles import (
+    assert_biduality,
+    brute_face_sets,
+    brute_rays,
+    canon_rays,
+    fresh_dual,
+    matrix_rank,
+    sides,
+)
 from toricval import Cone, HalfSpace, fe, polyhedra, sqrtd
 from toricval.linalg import vneg
 
@@ -92,8 +101,7 @@ def test_vrep_hrep_round_trip_random():
 
 def test_biduality_catalog():
     for c in CONES:
-        ac = c.build()
-        assert ac.cone.dual().dual() == ac.cone
+        assert_biduality(c.build().cone, c.name)
 
 
 def test_biduality_random_pointed():
@@ -109,7 +117,7 @@ def test_biduality_random_pointed():
         cone = _cone_from_normals(dim, normals)
         if cone.lineality or not cone.rays:
             continue
-        assert cone.dual().dual() == cone
+        assert_biduality(cone)
         done += 1
 
 
@@ -186,6 +194,21 @@ def test_one_dd_run_per_cone_and_none_per_face(monkeypatch):
     Cone.from_constraints(3, cone.facets)
     assert len(calls) == 2
     cone.face_lattice()
+    assert len(calls) == 2
+
+
+def test_dual_makes_no_dd_run(monkeypatch):
+    calls = []
+    real = polyhedra.dd_pair
+    monkeypatch.setattr(polyhedra, "dd_pair",
+                        lambda *args: calls.append(args) or real(*args))
+    cone = Cone.from_rays(3, [(i, i * i, 1) for i in range(6)], [])
+    line = _cone_from_normals(3, [(1, 0, 0), (0, 1, 0)])
+    assert len(calls) == 2
+    for c in (cone, line, cone.face_lattice()[0][1]):
+        d = c.dual()
+        assert sides(d) == (c.facets, c.equations, c.rays, c.lineality)
+        assert sides(d.dual()) == sides(c)
     assert len(calls) == 2
 
 
@@ -271,3 +294,13 @@ def test_face_lattice_matches_facet_subsets(cone):
         ref = Cone.from_rays(cone.dim, f.rays, cone.lineality)
         assert (f.rays, f.lineality, f.facets, f.equations) == (
             ref.rays, ref.lineality, ref.facets, ref.equations)
+
+
+@PROPERTY
+@given(random_cones())
+def test_dual_and_dimension_match_fresh_runs(cone):
+    """On the cone and every face: dual() is a new run on the V-side, field
+    by field, and intrinsic_dim() is the rank of the rays and lineality."""
+    for c in [cone] + cone.face_lattice()[0]:
+        assert sides(c.dual()) == sides(fresh_dual(c))
+        assert c.intrinsic_dim() == matrix_rank(c.rays + c.lineality, c.dim)
