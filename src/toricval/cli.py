@@ -16,7 +16,7 @@ import sys
 from . import _io
 from .admissible import algebra_generators, bad_slice_vertices, is_finite_type
 from .classify import round_trip, saturation_check
-from .errors import MathematicalNo, NotAFan, ToricValError
+from .errors import MathematicalNo, NotAFan, NumeralTooLong, ToricValError
 from .fans import product_fan, recession_fan, slice_complex
 from .linalg import primitive_int_vector
 from .projtoric import orbit_correspondence, weight_subdivision
@@ -266,13 +266,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _emit(report, out_path):
-    text = _io.dumps(report)
-    sys.stdout.write(text)
-    if out_path:
-        _write_text(out_path, text)
-
-
 def main(argv=None) -> int:
     """Run one command; returns its exit code, the JSON report on stdout.
 
@@ -284,6 +277,9 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         report, code = _HANDLERS[ns.command](ns)
+        text = _io.dumps(report)
+        if ns.out:
+            _write_text(ns.out, text)
     except _UsageError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": "UsageError"}))
         return 1
@@ -293,7 +289,10 @@ def main(argv=None) -> int:
     except MathematicalNo as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}
         if hasattr(exc, "bad_vertices"):
-            payload["bad_vertex"] = [_vec_str(v) for v in exc.bad_vertices]
+            try:
+                payload["bad_vertex"] = [_vec_str(v) for v in exc.bad_vertices]
+            except NumeralTooLong:
+                pass  # the message names them, a long numeral elided
         if hasattr(exc, "bound"):
             payload["bound"] = exc.bound
         if hasattr(exc, "index"):
@@ -303,7 +302,7 @@ def main(argv=None) -> int:
     except ToricValError as exc:
         sys.stdout.write(_io.dumps({"error": str(exc), "kind": type(exc).__name__}))
         return 1
-    _emit(report, ns.out)
+    sys.stdout.write(text)
     return code
 
 

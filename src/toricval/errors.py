@@ -8,6 +8,26 @@ mathematical answer is negative (CLI exit code 2).
 
 from __future__ import annotations
 
+TOO_LONG = "<numeral too long to print>"
+
+
+def shown(x, fmt=str):
+    """fmt(x) for an error message, never raising.
+
+    Lists and tuples are written item by item as repr writes them, and an
+    item whose text would need an integer past Python's int-to-text limit
+    (a ValueError) is written as TOO_LONG, so shorter numerals keep their
+    bytes and a long one cannot stop the error from being built.
+    """
+    if type(x) is list:
+        return "[" + ", ".join(shown(v, repr) for v in x) + "]"
+    if type(x) is tuple:
+        return "(" + ", ".join(shown(v, repr) for v in x) + ("," if len(x) == 1 else "") + ")"
+    try:
+        return fmt(x)
+    except ValueError:
+        return TOO_LONG
+
 
 class ToricValError(Exception):
     """Base class for everything raised deliberately by this package."""
@@ -45,7 +65,9 @@ class ConstantNotInGamma(MathematicalNo):
     def __init__(self, index: int, value):
         self.index = index
         self.value = value
-        super().__init__(f"half-space {index}: constant {value} not in the value group")
+        super().__init__(
+            f"half-space {index}: constant {shown(value)} not in the value group"
+        )
 
 
 class ContainsLine(MathematicalNo):
@@ -54,7 +76,7 @@ class ContainsLine(MathematicalNo):
         if line is None:
             detail = ""
         else:
-            detail = ": (" + ", ".join(str(x) for x in line) + ")"
+            detail = ": (" + ", ".join(shown(x) for x in line) + ")"
         super().__init__("cone contains a line" + detail)
 
 
@@ -63,7 +85,7 @@ class NotFiniteType(MathematicalNo):
         self.bad_vertices = list(bad_vertices)
         super().__init__(
             "cone is not of finite type: slice vertices with a coordinate outside "
-            f"the value group: {self.bad_vertices}"
+            f"the value group: {shown(self.bad_vertices)}"
         )
 
 
@@ -84,7 +106,7 @@ class RankDeficient(MathematicalNo):
 class NotInCone(MathematicalNo):
     def __init__(self, point):
         self.point = point
-        super().__init__(f"target {point} is not in the generated cone")
+        super().__init__(f"target {shown(point)} is not in the generated cone")
 
 
 class NotAFan(MathematicalNo):
@@ -101,7 +123,9 @@ class ValueNotInGamma(MathematicalNo):
     def __init__(self, index: int, value):
         self.index = index
         self.value = value
-        super().__init__(f"coordinate {index}: valuation {value} not in the value group")
+        super().__init__(
+            f"coordinate {index}: valuation {shown(value)} not in the value group"
+        )
 
 
 class HeightUnboundedBelow(MathematicalNo):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admissible import is_finite_type, make_admissible
-from .errors import DimensionMismatch, FieldMismatch, NotAFan
+from .errors import DimensionMismatch, FieldMismatch, NotAFan, shown
 from .linalg import primitive_int_vector, vec
 from .ordfield import FE_ZERO, ValueGroup
 from .polyhedra import Cone, HalfSpace, strict_inclusions, vertical_normal
@@ -45,7 +45,7 @@ def _checked_closure(cones, kernel, faces):
                 raise NotAFan(
                     i, j,
                     f"intersection with rays "
-                    f"{[tuple(map(str, r)) for r in inter.rays]} "
+                    f"{[tuple(map(shown, r)) for r in inter.rays]} "
                     f"is not a common face",
                 )
 
@@ -54,7 +54,7 @@ def _checked_closure(cones, kernel, faces):
         uniq.setdefault(kernel(c).key(), c)
     items = sorted(uniq.values(), key=lambda c: _cone_sort_key(kernel(c)))
     dominated = {
-        i for i, _ in strict_inclusions([frozenset(kernel(c).rays) for c in items])
+        i for i, _ in strict_inclusions([kernel(c).rays for c in items])
     }
     maximal = [c for i, c in enumerate(items) if i not in dominated]
 
@@ -63,7 +63,7 @@ def _checked_closure(cones, kernel, faces):
         for f in faces(c):
             closed.setdefault(f.key(), f)
     all_cones = sorted(closed.values(), key=lambda c: _cone_sort_key(kernel(c)))
-    poset = strict_inclusions([frozenset(kernel(c).rays) for c in all_cones])
+    poset = strict_inclusions([kernel(c).rays for c in all_cones])
     return maximal, all_cones, tuple(poset)
 
 
@@ -159,7 +159,7 @@ def slice_complex(fan: Fan) -> SliceComplex:
         by_key.setdefault(cell.key(), (cell, ac.cone))
     pairs = sorted(by_key.values(), key=lambda t: _cone_sort_key(t[1]))
     cells = tuple(p[0] for p in pairs)
-    poset = tuple(strict_inclusions([frozenset(p[1].rays) for p in pairs]))
+    poset = tuple(strict_inclusions([p[1].rays for p in pairs]))
     verts = set()
     for cell in cells:
         verts.update(cell.vertices)

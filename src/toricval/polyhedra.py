@@ -18,10 +18,17 @@ and the input side is read off those incidences.  Inputs tight on every ray
 span the equations (or the lineality); those whose tight-ray set is maximal
 by inclusion are the irredundant ones, reduced modulo that subspace at the
 pivots of an echelon basis chosen from the last coordinate and scaled by
-canonical_ray (the representative dd_pair's own reductions produce).  Face
-ray sets are the intersections of facet ray sets, each face's H-side read
-off the parent's constraints the same way, with no further run; a dual
-is the two sides swapped.
+canonical_ray (the representative dd_pair's own reductions produce).  A
+dual is the two sides swapped.
+
+Faces are ray-index bitmasks: the full set closed under intersection with
+the facets' masks.  face_lattice builds each face from its ray indices
+alone; a face reads its H-side off the parent's constraints the same way as
+above, on first access, and takes its dimension from the graded lattice.
+The containment relation comes from per-ray bitsets of faces, never from
+comparing pairs of faces; like Kaibel and Pfetsch ("Computing the face
+lattice of a polytope from its vertex-facet incidences", 2002), the whole
+lattice is read off the ray-facet incidences.
 
 face_lattice's index-set routines, meet_closure and strict_inclusions, serve
 the fan, slice-complex and weight-subdivision posets too.
@@ -167,8 +174,8 @@ def _other_side(dim, inputs, tight):
 
 
 def meet_closure(seeds, cuts):
-    """The frozensets seeds and every set reached from one of them by
-    intersecting with cuts, one cut after another."""
+    """The seeds and every set reached from one of them by intersecting with
+    cuts, one cut after another; frozensets and int bitmasks alike."""
     found = set(seeds)
     todo = list(found)
     while todo:
@@ -182,22 +189,95 @@ def meet_closure(seeds, cuts):
 
 
 def strict_inclusions(sets):
-    """Every (i, j) with sets[i] a proper subset of sets[j], in index order."""
-    return [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b]
+    """Every (i, j) with sets[i] a proper subset of sets[j], in index order.
+
+    sets are collections of distinct hashable items, such as frozensets or
+    tuples without repeats.  No two sets are compared: each item gets the
+    bitmask of the sets holding it, and the sets above sets[i] are the AND
+    of its items' masks over the sets of another size (a superset of
+    another size is larger), so the work is the total size plus the pairs
+    returned.
+    """
+    ids = {}
+    members = [[ids.setdefault(x, len(ids)) for x in s] for s in sets]
+    holders = [0] * len(ids)
+    same_size = {}
+    bit = 1
+    for items in members:
+        for k in items:
+            holders[k] |= bit
+        same_size[len(items)] = same_size.get(len(items), 0) | bit
+        bit <<= 1
+    everyone = bit - 1
+    pairs = []
+    for i, items in enumerate(members):
+        above = everyone ^ same_size[len(items)]
+        for k in items:
+            above &= holders[k]
+        if above:
+            pairs += [(i, j) for j in _bit_indices(above)]
+    return pairs
+
+
+def _bit_indices(mask):
+    """The positions of the set bits of mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit j is character j
+    out = []
+    j = bits.find("1")
+    while j >= 0:
+        out.append(j)
+        j = bits.find("1", j + 1)
+    return out
 
 
 class Cone:
-    """Polyhedral cone with canonical V- and H-representations."""
+    """Polyhedral cone with canonical V- and H-representations.
 
-    __slots__ = ("dim", "rays", "lineality", "facets", "equations", "_faces")
+    A face from face_lattice computes its H-side (facets, equations) on first
+    access, from the parent's constraints and its rays' tight sets, and keeps
+    it; its intrinsic dimension comes from the graded lattice.
+    """
+
+    __slots__ = ("dim", "rays", "lineality", "_hside", "_pending", "_idim", "_faces")
 
     def __init__(self, dim, rays, lineality, facets, equations):
         self.dim = dim
         self.rays = tuple(rays)
         self.lineality = tuple(lineality)
-        self.facets = tuple(facets)
-        self.equations = tuple(equations)
+        self._hside = (tuple(facets), tuple(equations))
+        self._pending = None
+        self._idim = dim - len(self._hside[1])
         self._faces = None
+
+    @staticmethod
+    def _face(dim, rays, lineality, idim, pending):
+        """A face of a cone; pending = (constraints, tight, idx) holds the
+        parent's constraints, the tight set of each parent ray and the
+        indices of the face's rays."""
+        face = Cone.__new__(Cone)
+        face.dim = dim
+        face.rays = rays
+        face.lineality = lineality
+        face._hside = None
+        face._pending = pending
+        face._idim = idim
+        face._faces = None
+        return face
+
+    def _sides(self):
+        if self._hside is None:
+            constraints, tight, idx = self._pending
+            self._hside = _other_side(self.dim, constraints, [tight[i] for i in idx])
+            self._pending = None
+        return self._hside
+
+    @property
+    def facets(self):
+        return self._sides()[0]
+
+    @property
+    def equations(self):
+        return self._sides()[1]
 
     # -- construction --------------------------------------------------------
 
@@ -223,8 +303,9 @@ class Cone:
         return (self.dim, self.rays, self.lineality)
 
     def intrinsic_dim(self):
-        """dim minus the equations, an echelon basis of span(C)^perp."""
-        return self.dim - len(self.equations)
+        """dim minus the equations (an echelon basis of span(C)^perp), or a
+        face's grade in its parent's lattice."""
+        return self._idim
 
     def is_trivial(self):
         return not self.rays and not self.lineality
@@ -253,7 +334,13 @@ class Cone:
 
     def face_lattice(self):
         """All faces (including {0}-or-lineality and the cone itself) and the
-        full containment relation as (sub, super) index pairs."""
+        full containment relation as (sub, super) index pairs.
+
+        Faces are ray-index bitmasks, the full set closed under intersection
+        with the facets' masks; no face runs linear algebra.  The lattice is
+        graded: the minimal face has dimension len(lineality), every other
+        face one more than its largest proper subface.
+        """
         if self._faces is not None:
             return self._faces
         constraints = self.all_constraints()
@@ -262,20 +349,29 @@ class Cone:
             for r in self.rays
         ]
         # facets come first in all_constraints, so facet j is constraint j
-        facet_sets = [
-            frozenset(k for k, t in enumerate(tight) if j in t)
+        facet_masks = [
+            sum(1 << k for k, t in enumerate(tight) if j in t)
             for j in range(len(self.facets))
         ]
-        found = meet_closure([frozenset(range(len(self.rays)))], facet_sets)
-        keys = sorted(found, key=lambda s: (-len(s), sorted(s)))
-        faces = []
-        for s in keys:
-            idx = sorted(s)
-            facets, eqs = _other_side(self.dim, constraints, [tight[i] for i in idx])
-            faces.append(
-                Cone(self.dim, [self.rays[i] for i in idx], self.lineality, facets, eqs)
+        found = meet_closure([(1 << len(self.rays)) - 1], facet_masks)
+        keys = sorted(map(_bit_indices, found), key=lambda idx: (-len(idx), idx))
+        edges = strict_inclusions(keys)
+        # a subface comes later in keys, so reversed edges finish it first
+        grade = [len(self.lineality)] * len(keys)
+        for i, j in reversed(edges):
+            if grade[j] <= grade[i]:
+                grade[j] = grade[i] + 1
+        faces = [
+            Cone._face(
+                self.dim,
+                tuple(self.rays[i] for i in idx),
+                self.lineality,
+                g,
+                (constraints, tight, idx),
             )
-        self._faces = (faces, strict_inclusions(keys))
+            for idx, g in zip(keys, grade)
+        ]
+        self._faces = (faces, edges)
         return self._faces
 
     def is_face_of(self, other):

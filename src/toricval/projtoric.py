@@ -221,7 +221,7 @@ def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
     ordered = sorted(faces.items(), key=lambda kv: (-kv[1], kv[0]))
     face_list = tuple(idx for idx, _ in ordered)
     dims = tuple(d for _, d in ordered)
-    poset = strict_inclusions([frozenset(face) for face in face_list])
+    poset = strict_inclusions(face_list)
 
     return Subdivision(
         n,

@@ -202,6 +202,12 @@ def brute_face_sets(cone):
     return sorted(sets, key=lambda s: (-len(s), sorted(s)))
 
 
+def all_pairs_inclusions(sets):
+    """Every (i, j) with sets[i] a proper subset of sets[j], in index order,
+    by comparing every pair: the reference for polyhedra.strict_inclusions."""
+    return [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b]
+
+
 # -- brute-force semigroup membership -----------------------------------------
 
 

@@ -185,6 +185,28 @@ def test_out_file_matches_stdout(tmp_path):
     assert out_path.read_text() == out
 
 
+def test_unwritable_out_path_is_io_error(tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    code, out = run_cli("dual", fx("C1.json"), "--out", str(missing))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": f"[Errno 2] No such file or directory: '{missing}'",
+        "kind": "IOError",
+    }
+    assert not missing.exists()
+
+
+def test_unwritable_out_path_subprocess(tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricval", "dual", fx("C1.json"), "--out", str(missing)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["kind"] == "IOError"  # one document only
+
+
 def test_usage_error_missing_bound():
     code, out = run_cli("generators", fx("C1.json"))
     assert code == 1

@@ -8,9 +8,13 @@ Property tests over random cones (Q and Q(sqrt 2), with and without
 lineality, of every intrinsic dimension) check that one double description
 run per cone gives the same canonical data as running the converter on both
 sides, that duals and dimensions of every face match fresh runs and ranks,
-and that the face lattice matches facet-subset enumeration.
+and that the face lattice matches facet-subset enumeration.  Faces compute
+their H-side lazily: it must equal an eager _other_side call and a fresh
+run, the containment relation must equal the all-pairs reference, and
+face_lattice itself must run no linear algebra per face.
 """
 
+import itertools
 import random
 from fractions import Fraction as Fr
 
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from catalog import CONES
 from oracles import (
+    all_pairs_inclusions,
     assert_biduality,
     brute_face_sets,
     brute_rays,
@@ -288,12 +293,7 @@ def test_face_lattice_matches_facet_subsets(cone):
     keys = [frozenset(cone.rays.index(r) for r in f.rays) for f in faces]
     expected = brute_face_sets(cone)
     assert keys == expected
-    assert edges == [(i, j) for i, si in enumerate(expected)
-                     for j, sj in enumerate(expected) if si < sj]
-    for f in faces:
-        ref = Cone.from_rays(cone.dim, f.rays, cone.lineality)
-        assert (f.rays, f.lineality, f.facets, f.equations) == (
-            ref.rays, ref.lineality, ref.facets, ref.equations)
+    assert edges == all_pairs_inclusions(expected)
 
 
 @PROPERTY
@@ -304,3 +304,105 @@ def test_dual_and_dimension_match_fresh_runs(cone):
     for c in [cone] + cone.face_lattice()[0]:
         assert sides(c.dual()) == sides(fresh_dual(c))
         assert c.intrinsic_dim() == matrix_rank(c.rays + c.lineality, c.dim)
+
+
+# -- lazy faces, graded dimensions, output-sensitive containment ---------------
+
+
+def _check_lazy_faces(cone):
+    """Every face answers intrinsic_dim() from the lattice, without its
+    H-side; the H-side, once read, equals an eager _other_side call over the
+    parent's constraints and a fresh run on the face's V-side."""
+    calls = []
+    real = polyhedra._other_side
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "_other_side",
+                   lambda *args: calls.append(args) or real(*args))
+        faces, edges = cone.face_lattice()
+        dims = [f.intrinsic_dim() for f in faces]
+    assert calls == []
+    constraints = cone.all_constraints()
+    tight = {r: frozenset(i for i, c in enumerate(constraints)
+                          if not sum((a * b for a, b in zip(c, r)), fe(0)))
+             for r in cone.rays}
+    for f, d in zip(faces, dims):
+        assert d == matrix_rank(f.rays + f.lineality, f.dim)
+        eager = real(cone.dim, constraints, [tight[r] for r in f.rays])
+        fresh = Cone.from_rays(cone.dim, f.rays, f.lineality)
+        assert sides(f) == (fresh.rays, fresh.lineality) + eager == sides(fresh)
+    assert dims[0] == cone.intrinsic_dim()
+    assert edges == all_pairs_inclusions([frozenset(f.rays) for f in faces])
+
+
+@PROPERTY
+@given(random_cones())
+def test_lazy_faces_match_eager_and_fresh_runs(cone):
+    _check_lazy_faces(cone)
+
+
+def test_lazy_faces_catalog():
+    for entry in CONES:
+        _check_lazy_faces(entry.build().cone)
+
+
+def _unit(d, i, s):
+    v = [0] * d
+    v[i] = s
+    return tuple(v)
+
+
+def _cone_over_cube(d):
+    return Cone.from_rays(
+        d + 1, [v + (1,) for v in itertools.product((0, 1), repeat=d)])
+
+
+def _cone_over_cross_polytope(d):
+    return Cone.from_rays(
+        d + 1, [_unit(d, i, s) + (1,) for i in range(d) for s in (1, -1)])
+
+
+def test_face_lattice_runs_no_linear_algebra(monkeypatch):
+    """The cones over the 6-cube and the 6-dimensional cross-polytope: 730
+    faces each (3^6 + 1), and 0 _other_side and 0 rref calls to list them
+    with their containment relation and dimensions; the dimensions are
+    checked against the faces' combinatorial types."""
+    cones = [_cone_over_cube(6), _cone_over_cross_polytope(6)]
+    calls = {"_other_side": 0, "rref": 0}
+    for name in calls:
+        real = getattr(polyhedra, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(polyhedra, name, counted)
+    for cone in cones:
+        faces, edges = cone.face_lattice()
+        assert len(faces) == 730
+        # (i, j) with face i < face j: pairs of cube faces in strict
+        # inclusion, 5^6 - 3^6, plus the apex below each of the 3^6 faces
+        assert len(edges) == 5 ** 6
+    assert calls == {"_other_side": 0, "rref": 0}
+    # the cone over a k-face of the cube has dimension k + 1 and 2^k rays;
+    # a proper face of the cross-polytope is a simplex, its cone simplicial
+    cube, cross = (cone.face_lattice()[0] for cone in cones)
+    assert all(f.intrinsic_dim() == len(f.rays).bit_length() for f in cube)
+    assert all(f.intrinsic_dim() == len(f.rays) for f in cross[1:])
+    assert cross[0].intrinsic_dim() == 7
+
+
+@st.composite
+def set_families(draw):
+    universe = draw(st.integers(0, 6))
+    members = st.frozensets(st.integers(0, universe), max_size=universe + 1)
+    return draw(st.lists(members, max_size=12))
+
+
+@PROPERTY
+@given(set_families())
+def test_strict_inclusions_matches_all_pairs(sets):
+    """Duplicates and the empty set included: equal sets are no pair.  Tuples
+    without repeats, as the fan posets pass them, give the same pairs."""
+    expected = all_pairs_inclusions(sets)
+    assert polyhedra.strict_inclusions(sets) == expected
+    assert polyhedra.strict_inclusions([tuple(sorted(s)) for s in sets]) == expected
