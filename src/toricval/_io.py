@@ -199,6 +199,13 @@ def gamma_from_json(obj, loc="gamma") -> ValueGroup:
     return ValueGroup(field, gens)
 
 
+def _parse_rank(x, loc) -> int:
+    n = parse_int(x, loc)
+    if n < 1:
+        raise SchemaError(f"lattice rank must be >= 1, got {n}", loc)
+    return n
+
+
 def _parse_uvec(obj, n, loc):
     if not isinstance(obj, list):
         raise SchemaError("expected a list of integers", loc)
@@ -219,7 +226,7 @@ def cone_to_json(ac: AdmissibleCone):
 
 def cone_from_json(obj, gamma: ValueGroup, loc="cone") -> AdmissibleCone:
     _expect_object(obj, ("n", "halfspaces"), loc)
-    n = parse_int(_require(obj, "n", loc), f"{loc}.n")
+    n = _parse_rank(_require(obj, "n", loc), f"{loc}.n")
     hs_obj = _require(obj, "halfspaces", loc)
     if not isinstance(hs_obj, list):
         raise SchemaError("halfspaces must be a list", f"{loc}.halfspaces")
@@ -350,7 +357,7 @@ def config_to_json(cfg: HeightedConfig, gamma=None):
 def rational_fan_from_json(obj):
     """Input for the product construction: {"n", "gamma", "cones": [[ray...]]}."""
     _expect_object(obj, ("n", "gamma", "cones"), "")
-    n = parse_int(_require(obj, "n", ""), "n")
+    n = _parse_rank(_require(obj, "n", ""), "n")
     gamma = gamma_from_json(_require(obj, "gamma", ""))
     cones_obj = _require(obj, "cones", "")
     if not isinstance(cones_obj, list) or not cones_obj:
@@ -362,4 +369,7 @@ def rational_fan_from_json(obj):
         cones.append(
             [_parse_uvec(r, n, f"cones[{i}][{k}]") for k, r in enumerate(c)]
         )
-    return rational_fan_from_cones(n, cones), gamma
+    try:
+        return rational_fan_from_cones(n, cones), gamma
+    except ValueError as exc:  # a cone that is not pointed
+        raise SchemaError(str(exc), "cones") from exc

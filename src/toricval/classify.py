@@ -22,7 +22,7 @@ from .admissible import (
     algebra_generators,
     make_admissible,
 )
-from .errors import HeightUnboundedBelow, NotInCone, RankDeficient
+from .errors import DimensionMismatch, HeightUnboundedBelow, NotInCone, RankDeficient
 from .lp import INFEASIBLE, UNBOUNDED, solve_min
 from .linalg import rank, vdot, vec
 from .ordfield import FE_ZERO, FieldElement, pair_sign
@@ -74,18 +74,20 @@ class RationalRepresentation:
 def rationalize(target, gens: GeneratorSet) -> RationalRepresentation:
     """Nonnegative rational multipliers expressing target over G + vertical.
 
-    Membership in cone({(0,1)} union G) is checked up front by contains_point;
-    the LP then minimizes the height spent on G subject to matching the
-    exponent.  The optimum is a basic solution of a rational system, hence
-    rational, and kappa = target.g - optimum >= 0 whenever membership held,
-    which the LP route re-verifies independently.
+    The LP minimizes the height spent on G subject to matching the exponent,
+    and it alone decides membership in cone({(0,1)} union G): the target is
+    outside exactly when the LP is infeasible or kappa = target.g - optimum
+    is negative, and an unbounded LP puts (0, -1), hence the whole vertical
+    line and the target, in the cone.  The optimum is a basic solution of a
+    rational system, hence rational; RationalRepresentation.check verifies
+    the result.
     """
     if not isinstance(target, SemigroupElement):
         target = SemigroupElement(*target)
     n = gens.n
+    if len(target.u) != n:
+        raise DimensionMismatch(f"u has length {len(target.u)}, expected {n}")
     glist = list(gens)
-    if not gens.hull().contains_point(target.pair_vector()):
-        raise NotInCone((target.u, target.g))
     A = [[e.u[i] for e in glist] for i in range(n)]
     b = [target.u[i] for i in range(n)]
     costs = [e.g for e in glist]

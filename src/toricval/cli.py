@@ -276,6 +276,8 @@ def main(argv=None) -> int:
     """
     try:
         ns = _build_parser().parse_args(argv)
+        if getattr(ns, "bound", 1) < 1:
+            raise _UsageError("--bound must be >= 1")
         report, code = _HANDLERS[ns.command](ns)
         text = _io.dumps(report)
         if ns.out:

@@ -129,8 +129,8 @@ def fan_from_cones(cones) -> Fan:
 class SliceComplex:
     """The polyhedral complex fan ∩ {s = 1}.
 
-    cells: deduplicated slice polyhedra of all fan cones meeting {s > 0},
-    sorted canonically; poset: strict face inclusions on cell indices;
+    cells: the slice polyhedra of the fan cones meeting {s > 0}, in the
+    fan's order; poset: strict face inclusions on cell indices;
     vertices: the deduplicated union of cell vertex lists, one per
     irreducible component of the special fibre.
     """
@@ -145,25 +145,24 @@ class SliceComplex:
 
 
 def slice_complex(fan: Fan) -> SliceComplex:
-    """Slice every fan cone at s = 1 and deduplicate the resulting faces.
+    """Slice every fan cone at s = 1.
 
     A pointed cone in {s >= 0} is the cone over its slice, so cells are in
-    bijection with the fan cones not contained in {s = 0}; inclusion of cells
-    mirrors inclusion of those cones.
+    bijection with the fan cones not contained in {s = 0}, and distinct
+    cones have distinct slices; inclusion of cells is the fan's poset
+    restricted to those cones (a cone above one of them is one of them).
     """
-    by_key = {}
-    for ac in fan.all_cones:
+    cells, index = [], {}
+    for i, ac in enumerate(fan.all_cones):
         cell = ac.slice()
-        if cell is None:
-            continue
-        by_key.setdefault(cell.key(), (cell, ac.cone))
-    pairs = sorted(by_key.values(), key=lambda t: _cone_sort_key(t[1]))
-    cells = tuple(p[0] for p in pairs)
-    poset = tuple(strict_inclusions([p[1].rays for p in pairs]))
+        if cell is not None:
+            index[i] = len(cells)
+            cells.append(cell)
+    poset = tuple((index[i], index[j]) for i, j in fan.poset if i in index)
     verts = set()
     for cell in cells:
         verts.update(cell.vertices)
-    return SliceComplex(fan.n, cells, poset, tuple(sorted(verts)))
+    return SliceComplex(fan.n, tuple(cells), poset, tuple(sorted(verts)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ third ray is tight on every constraint that is tight on both.  That test is
 exact on minimal ray lists, which the induction maintains.
 
 One run per cone: dd_pair also returns the inputs tight on each output ray,
-and the input side is read off those incidences.  Inputs tight on every ray
+and the input side is read off those incidences on first access, so a cone
+whose H-side is never read costs its run alone.  Inputs tight on every ray
 span the equations (or the lineality); those whose tight-ray set is maximal
 by inclusion are the irredundant ones, reduced modulo that subspace at the
 pivots of an echelon basis chosen from the last coordinate and scaled by
@@ -23,12 +24,12 @@ dual is the two sides swapped.
 
 Faces are ray-index bitmasks: the full set closed under intersection with
 the facets' masks.  face_lattice builds each face from its ray indices
-alone; a face reads its H-side off the parent's constraints the same way as
-above, on first access, and takes its dimension from the graded lattice.
-The containment relation comes from per-ray bitsets of faces, never from
-comparing pairs of faces; like Kaibel and Pfetsch ("Computing the face
-lattice of a polytope from its vertex-facet incidences", 2002), the whole
-lattice is read off the ray-facet incidences.
+alone; a face reads its H-side off the parent's constraints the same way
+and takes its dimension from the graded lattice.  The containment relation
+comes from per-ray bitsets of faces, never from comparing pairs of faces;
+like Kaibel and Pfetsch ("Computing the face lattice of a polytope from its
+vertex-facet incidences", 2002), the whole lattice is read off the
+ray-facet incidences.
 
 face_lattice's index-set routines, meet_closure and strict_inclusions, serve
 the fan, slice-complex and weight-subdivision posets too.
@@ -233,9 +234,10 @@ def _bit_indices(mask):
 class Cone:
     """Polyhedral cone with canonical V- and H-representations.
 
-    A face from face_lattice computes its H-side (facets, equations) on first
-    access, from the parent's constraints and its rays' tight sets, and keeps
-    it; its intrinsic dimension comes from the graded lattice.
+    A cone built by a double description run, or a face from face_lattice,
+    computes its H-side (facets, equations) on first access, from its
+    inputs and its rays' tight sets, and keeps it; a face's intrinsic
+    dimension comes from the graded lattice.
     """
 
     __slots__ = ("dim", "rays", "lineality", "_hside", "_pending", "_idim", "_faces")
@@ -246,28 +248,21 @@ class Cone:
         self.lineality = tuple(lineality)
         self._hside = (tuple(facets), tuple(equations))
         self._pending = None
-        self._idim = dim - len(self._hside[1])
+        self._idim = None
         self._faces = None
 
     @staticmethod
-    def _face(dim, rays, lineality, idim, pending):
-        """A face of a cone; pending = (constraints, tight, idx) holds the
-        parent's constraints, the tight set of each parent ray and the
-        indices of the face's rays."""
-        face = Cone.__new__(Cone)
-        face.dim = dim
-        face.rays = rays
-        face.lineality = lineality
-        face._hside = None
-        face._pending = pending
-        face._idim = idim
-        face._faces = None
-        return face
+    def _from_incidences(dim, rays, lineality, inputs, tight, idim=None):
+        """The cone with these rays and lineality; its H-side is read off the
+        inputs and tight, the inputs' indices tight on each ray, when first
+        asked for.  idim is its intrinsic dimension when known."""
+        cone = Cone(dim, rays, lineality, (), ())
+        cone._hside, cone._pending, cone._idim = None, (inputs, tight), idim
+        return cone
 
     def _sides(self):
         if self._hside is None:
-            constraints, tight, idx = self._pending
-            self._hside = _other_side(self.dim, constraints, [tight[i] for i in idx])
+            self._hside = _other_side(self.dim, *self._pending)
             self._pending = None
         return self._hside
 
@@ -285,8 +280,7 @@ class Cone:
     def from_constraints(dim, normals):
         normals = [vec(a) for a in normals]
         rays, lin, tight = dd_pair(dim, normals)
-        facets, eqs = _other_side(dim, normals, tight)
-        return Cone(dim, rays, lin, facets, eqs)
+        return Cone._from_incidences(dim, rays, lin, normals, tight)
 
     @staticmethod
     def from_rays(dim, rays, lineality=()):
@@ -303,8 +297,10 @@ class Cone:
         return (self.dim, self.rays, self.lineality)
 
     def intrinsic_dim(self):
-        """dim minus the equations (an echelon basis of span(C)^perp), or a
-        face's grade in its parent's lattice."""
+        """A face's grade in its parent's lattice, or else dim minus the
+        equations (an echelon basis of span(C)^perp), computed once."""
+        if self._idim is None:
+            self._idim = self.dim - len(self.equations)
         return self._idim
 
     def is_trivial(self):
@@ -362,12 +358,13 @@ class Cone:
             if grade[j] <= grade[i]:
                 grade[j] = grade[i] + 1
         faces = [
-            Cone._face(
+            Cone._from_incidences(
                 self.dim,
                 tuple(self.rays[i] for i in idx),
                 self.lineality,
+                constraints,
+                [tight[i] for i in idx],
                 g,
-                (constraints, tight, idx),
             )
             for idx, g in zip(keys, grade)
         ]

@@ -123,6 +123,30 @@ def test_rationalize_irrational_kappa():
     assert rep.check(gens)
 
 
+def test_rationalize_decides_membership_like_the_hull():
+    # the simplex is the only decider: NotInCone exactly off the hull, on
+    # random targets in and out of it, and no double description run
+    rng = random.Random(405)
+    gensets = catalog_gensets()
+    calls = []
+    real = polyhedra.dd_pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "dd_pair",
+                   lambda *args: calls.append(args) or real(*args))
+        for name, hulled in gensets.items():
+            hull = hulled.hull()  # built by the generators' certificate
+            gens = GeneratorSet(hulled.n, hulled.gamma, hulled)  # none cached
+            for _ in range(40):
+                u = tuple(rng.randint(-3, 3) for _ in range(gens.n))
+                target = SemigroupElement(u, random_group_element(rng, gens.gamma))
+                inside = hull.contains_point(target.pair_vector())
+                try:
+                    assert rationalize(target, gens).check(gens) and inside, name
+                except NotInCone:
+                    assert not inside, name
+    assert calls == []
+
+
 def test_rationalize_random_in_cone():
     rng = random.Random(404)
     for name, gens in catalog_gensets().items():

@@ -154,6 +154,39 @@ def test_dd_runs_per_command(monkeypatch, runs, argv):
     assert len(calls) == runs
 
 
+# H-sides read per command: a cone's facets and equations are computed on
+# first access, so parsed cones only sliced (check-cone), fan pair
+# intersections (compared by key) and rebuilt cones (compared by key) cost
+# none; duals, face lattices and lifted facets cost one per cone
+H_SIDES = [
+    (0, ["check-cone", "C1.json"]),
+    (0, ["check-cone", "C2.json"]),
+    (1, ["dual", "C1.json"]),
+    (1, ["generators", "C1.json", "--bound", "2"]),
+    (1, ["round-trip", "C1.json", "--bound", "2"]),
+    (2, ["fan-validate", "F1.json"]),
+    (3, ["fan-validate", "F2.json"]),
+    (2, ["fan-validate", "nonfan.json"]),
+    (3, ["slice", "F2.json"]),
+    (6, ["recession", "F2.json"]),
+    (11, ["product-fan", "prodfan1.json"]),
+    (13, ["product-fan", "prodfan2.json"]),
+]
+
+
+@pytest.mark.parametrize(
+    "reads,argv", H_SIDES, ids=["-".join(a[:2]) for _, a in H_SIDES],
+)
+def test_h_sides_per_command(monkeypatch, reads, argv):
+    calls = []
+    real = polyhedra._other_side
+    monkeypatch.setattr(polyhedra, "_other_side",
+                        lambda *args: calls.append(args) or real(*args))
+    code, _ = run_cli(argv[0], fx(argv[1]), *argv[2:])
+    assert code in (0, 2)
+    assert len(calls) == reads
+
+
 @pytest.mark.parametrize("argv", [
     ["weightsub", "P2s.json"],
     ["slice", "F2.json"],
@@ -267,11 +300,68 @@ def test_zero_halfspace_is_schema_error(tmp_path, argv):
     assert payload["error"].startswith(loc + ":")
 
 
-# the first matrix command of each fixture file, and the leaves of its JSON
+def _set(obj, key, value):
+    obj[key] = value
+
+
+# inputs that once ended in an untyped ValueError; each must be a typed
+# report with exit 1
+BAD_INPUTS = {
+    "bound-0": (["generators", "--bound", "0"], "C1.json", None,
+                "UsageError", "--bound must be >= 1"),
+    "bound-neg": (["round-trip", "--bound", "-1"], "C1.json", None,
+                  "UsageError", "--bound must be >= 1"),
+    "cone-n0": (["check-cone"], "C1.json",
+                lambda d: _set(d, "cone", {"n": 0, "halfspaces": []}),
+                "SchemaError", "cone.n: lattice rank must be >= 1, got 0"),
+    "cone-nneg": (["generators", "--bound", "2"], "C1.json",
+                  lambda d: _set(d, "cone", {"n": -1, "halfspaces": []}),
+                  "SchemaError", "cone.n: lattice rank must be >= 1, got -1"),
+    "fan-cone-n0": (["slice"], "F1.json",
+                    lambda d: _set(d["cones"], 1, {"n": 0, "halfspaces": []}),
+                    "SchemaError", "cones[1].n: lattice rank must be >= 1, got 0"),
+    "product-n0": (["product-fan"], "prodfan1.json",
+                   lambda d: d.update(n=0, cones=[[]]),
+                   "SchemaError", "n: lattice rank must be >= 1, got 0"),
+    "product-line": (["product-fan"], "prodfan1.json",
+                     lambda d: _set(d, "cones", [[[1], [-1]]]),
+                     "SchemaError", "cones: fan cones must be pointed"),
+}
+
+
+def _bad_input_argv(tmp_path, case):
+    argv, name, edit, _, _ = BAD_INPUTS[case]
+    path = fx(name)
+    if edit is not None:
+        doc = json.loads(Path(path).read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+    return [argv[0], str(path), *argv[1:]]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_typed_report(tmp_path, case):
+    code, out = run_cli(*_bad_input_argv(tmp_path, case))
+    assert code == 1
+    assert json.loads(out) == {"kind": BAD_INPUTS[case][3], "error": BAD_INPUTS[case][4]}
+
+
+def test_bad_input_subprocess(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricval", *_bad_input_argv(tmp_path, "product-line")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["kind"] == "SchemaError"
+
+
+# the matrix commands of each fixture file, and the leaves of its JSON
 FIXTURE_ARGV = {}
 for _, _argv in MATRIX:
     if (FIXTURES / _argv[1]).exists():
-        FIXTURE_ARGV.setdefault(_argv[1], _argv)
+        FIXTURE_ARGV.setdefault(_argv[1], []).append(_argv)
 
 
 def _leaf_paths(obj, path=()):
@@ -293,8 +383,12 @@ LEAF_VALUES = st.one_of(st.integers(-2, 2), st.sampled_from([
 
 @st.composite
 def mutated_fixture(draw):
-    """(argv, doc): a matrix fixture with one JSON leaf replaced."""
+    """(argv, doc): a matrix command on its fixture with one JSON leaf
+    replaced, and its integer flags (--bound, --bu, --kmax) redrawn."""
     name = draw(st.sampled_from(sorted(FIXTURE_ARGV)))
+    argv = list(draw(st.sampled_from(FIXTURE_ARGV[name])))
+    for k in range(3, len(argv), 2):
+        argv[k] = str(draw(st.integers(-1, 3)))
     doc = json.loads((FIXTURES / name).read_text())
     path = draw(st.sampled_from(list(_leaf_paths(doc))))
     doc = copy.deepcopy(doc)
@@ -302,7 +396,7 @@ def mutated_fixture(draw):
     for k in path[:-1]:
         parent = parent[k]
     parent[path[-1]] = draw(LEAF_VALUES)
-    return FIXTURE_ARGV[name], doc
+    return argv, doc
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)

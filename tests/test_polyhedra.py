@@ -8,10 +8,11 @@ Property tests over random cones (Q and Q(sqrt 2), with and without
 lineality, of every intrinsic dimension) check that one double description
 run per cone gives the same canonical data as running the converter on both
 sides, that duals and dimensions of every face match fresh runs and ranks,
-and that the face lattice matches facet-subset enumeration.  Faces compute
-their H-side lazily: it must equal an eager _other_side call and a fresh
-run, the containment relation must equal the all-pairs reference, and
-face_lattice itself must run no linear algebra per face.
+and that the face lattice matches facet-subset enumeration.  Cones from a
+run and faces compute their H-side on first read, once: it must equal an
+eager _other_side call (and, for a face, a fresh run), the containment
+relation must equal the all-pairs reference, and face_lattice itself must
+run no linear algebra per face.
 """
 
 import itertools
@@ -34,7 +35,8 @@ from oracles import (
     sides,
 )
 from toricval import Cone, HalfSpace, fe, polyhedra, sqrtd
-from toricval.linalg import vneg
+from toricval.linalg import vec, vneg
+from toricval.polyhedra import vertical_normal
 
 
 def _cone_from_normals(dim, normals):
@@ -255,7 +257,9 @@ def test_lineality_detected():
 
 
 @st.composite
-def random_cones(draw):
+def random_inputs(draw):
+    """(dim, vecs, lin): a few vectors over Q or Q(sqrt 2) and at most one
+    line."""
     dim = draw(st.integers(2, 4))
     if draw(st.booleans()):
         coord = st.builds(fe, st.integers(-3, 3))
@@ -263,7 +267,12 @@ def random_cones(draw):
         coord = st.builds(fe, st.integers(-3, 3), st.integers(-2, 2), st.just(2))
     vector = st.tuples(*[coord] * dim)
     vecs = draw(st.lists(vector, min_size=1, max_size=dim + 4))
-    lin = draw(st.lists(vector, max_size=1))
+    return dim, vecs, draw(st.lists(vector, max_size=1))
+
+
+@st.composite
+def random_cones(draw):
+    dim, vecs, lin = draw(random_inputs())
     if draw(st.booleans()):
         return Cone.from_constraints(dim, vecs + lin + [vneg(l) for l in lin])
     return Cone.from_rays(dim, vecs, lin)
@@ -306,7 +315,57 @@ def test_dual_and_dimension_match_fresh_runs(cone):
         assert c.intrinsic_dim() == matrix_rank(c.rays + c.lineality, c.dim)
 
 
-# -- lazy faces, graded dimensions, output-sensitive containment ---------------
+# -- lazy H-sides, graded dimensions, output-sensitive containment -------------
+
+
+H_SIDE_READS = {
+    "facets": lambda c: c.facets,
+    "equations": lambda c: c.equations,
+    "intrinsic_dim": Cone.intrinsic_dim,
+    "dual": Cone.dual,
+    "face_lattice": Cone.face_lattice,
+}
+
+
+def _check_h_side_on_first_read(dim, normals):
+    """A from_constraints cone runs _other_side once, on the first read of
+    its H-side by any reader, and not for key(), rays, == or hash; the
+    result equals an eager _other_side call on the run's incidences."""
+    calls = []
+    real = polyhedra._other_side
+    for name, read in H_SIDE_READS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyhedra, "_other_side",
+                       lambda *args: calls.append(args) or real(*args))
+            cone = Cone.from_constraints(dim, normals)
+            twin = Cone.from_constraints(dim, normals)
+            assert (cone.key(), cone.rays, hash(cone)) == (
+                twin.key(), twin.rays, hash(twin)) and cone == twin
+            assert calls == [], name
+            read(cone)
+            assert len(calls) == 1, name
+            for again in H_SIDE_READS.values():
+                again(cone)
+            assert len(calls) == 1, name
+            del calls[:]
+    inputs = [vec(a) for a in normals]
+    eager = real(dim, inputs, polyhedra.dd_pair(dim, inputs)[2])
+    assert (cone.facets, cone.equations) == eager
+    assert cone.intrinsic_dim() == dim - len(eager[1])
+
+
+@PROPERTY
+@given(random_inputs())
+def test_h_side_on_first_read(inputs):
+    dim, vecs, lin = inputs
+    _check_h_side_on_first_read(dim, vecs + lin + [vneg(l) for l in lin])
+
+
+def test_h_side_on_first_read_catalog():
+    for entry in CONES:
+        n = len(entry.halfspaces[0].u)
+        normals = [h.normal() for h in entry.halfspaces]
+        _check_h_side_on_first_read(n + 1, normals + [vertical_normal(n)])
 
 
 def _check_lazy_faces(cone):
@@ -315,6 +374,7 @@ def _check_lazy_faces(cone):
     parent's constraints and a fresh run on the face's V-side."""
     calls = []
     real = polyhedra._other_side
+    cone.facets  # the parent's own H-side, which face_lattice reads
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedra, "_other_side",
                    lambda *args: calls.append(args) or real(*args))
