@@ -375,6 +375,17 @@ def random_heighted_config(rng):
     return HeightedConfig(n, pts, heights)
 
 
+def grid_box(lo, hi, gamma=G_Z, unit=Fr(1)):
+    """The admissible cone over the box [lo, hi] of R^2 scaled by unit; a
+    box with lo == hi in a coordinate is a segment or a point."""
+    hss = []
+    for a in range(2):
+        e = tuple(1 if b == a else 0 for b in range(2))
+        hss.append(HalfSpace(e, -lo[a] * unit))
+        hss.append(HalfSpace(tuple(-x for x in e), hi[a] * unit))
+    return make_admissible(2, hss, gamma)
+
+
 def random_grid_fan_cones(rng):
     """Input cones of a random fan over Z or (1/6)Z: the cones over the boxes
     of an m x m grid with random integer breakpoints, shuffled, with a few
@@ -385,16 +396,11 @@ def random_grid_fan_cones(rng):
     for _ in range(m):
         xs.append(xs[-1] + rng.randint(1, 3))
         ys.append(ys[-1] + rng.randint(1, 3))
-    cones = []
-    for i in range(m):
-        for j in range(m):
-            lo, hi = (xs[i], ys[j]), (xs[i + 1], ys[j + 1])
-            hss = []
-            for a in range(2):
-                e = tuple(1 if b == a else 0 for b in range(2))
-                hss.append(HalfSpace(e, -lo[a] * unit))
-                hss.append(HalfSpace(tuple(-x for x in e), hi[a] * unit))
-            cones.append(make_admissible(2, hss, gamma))
+    cones = [
+        grid_box((xs[i], ys[j]), (xs[i + 1], ys[j + 1]), gamma, unit)
+        for i in range(m)
+        for j in range(m)
+    ]
     rng.shuffle(cones)
     for _ in range(rng.randint(0, 3)):
         face = rng.choice(rng.choice(cones).faces()[0])

@@ -7,7 +7,8 @@ Only FieldElement arithmetic is borrowed from the package, apart from
 fresh_dual, a second double description run where Cone.dual swaps sides,
 cell_cone_faces and weight_polytope_reference, which take the long way
 through kernel cones (one per lower facet and per cell, or one over the
-points), and the reference routes for the semigroup searches
+points), common_face_by_dd and lift_by_rays, the fan routes by one run per
+cone pair and per lifted cone, and the reference routes for the semigroup searches
 (pairwise_generators, dfs_saturation_check), which build the package's
 GeneratorSet and its hull; every algorithm here is deliberately naive.
 """
@@ -206,6 +207,25 @@ def all_pairs_inclusions(sets):
     """Every (i, j) with sets[i] a proper subset of sets[j], in index order,
     by comparing every pair: the reference for polyhedra.strict_inclusions."""
     return [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b]
+
+
+# -- fan pair check and product lifts, one run each ------------------------------
+
+
+def common_face_by_dd(a, b):
+    """Whether a ∩ b is a face of both cones, by a double description run on
+    both cones' constraints and a look-up in both face lattices: the route
+    that fans takes only for pairs no separating facet settles."""
+    inter = a.intersect(b)
+    return inter.is_face_of(a) and inter.is_face_of(b)
+
+
+def lift_by_rays(c):
+    """c x R+ in R^(n+1), from a run on c's rays at s = 0 and the vertical
+    ray: the reference for product_fan, which lifts c's facets instead."""
+    n = c.dim
+    rays = [tuple(r) + (FE_ZERO,) for r in c.rays]
+    return Cone.from_rays(n + 1, rays + [(FE_ZERO,) * n + (FE_ONE,)])
 
 
 # -- brute-force semigroup membership -----------------------------------------

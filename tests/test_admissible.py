@@ -16,6 +16,7 @@ from catalog import (CONES, G_HALF, G_S2, G_SIXTH, G_Z, SQRT2, build,
 from oracles import interval_sign, pairwise_generators
 from toricval import (
     BoundTooSmall,
+    Cone,
     ConstantNotInGamma,
     ContainsLine,
     DimensionMismatch,
@@ -31,6 +32,7 @@ from toricval import (
     make_admissible,
     minimal_height,
     semigroup_membership,
+    slice_at_one,
 )
 
 
@@ -43,6 +45,18 @@ def test_slice_matches_catalog(entry):
     assert tuple(sorted(sl.vertices)) == tuple(sorted(entry.slice_vertices))
     got_rays = tuple(sorted(tuple(int(x) for x in r) for r in sl.recession_rays))
     assert got_rays == tuple(sorted(entry.recession_rays))
+
+
+def test_slice_at_one_lineality_must_stay_in_s_zero():
+    # a half-plane of R^2 = R x R_s: the line along x is allowed, a line
+    # leaving s = 0 puts the cone below s = 0
+    flat = Cone.from_rays(2, [(0, 1)], [(1, 0)])
+    sl = slice_at_one(flat)
+    assert sl.vertices == ((fe(0),),)
+    tilted = Cone.from_rays(2, [(0, 1)], [(1, 1)])
+    assert all(r[-1].sign() >= 0 for r in tilted.rays)
+    with pytest.raises(ValueError, match="not contained in"):
+        slice_at_one(tilted)
 
 
 @pytest.mark.parametrize("entry", CONES, ids=[c.name for c in CONES])

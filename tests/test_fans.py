@@ -7,9 +7,13 @@ checked against a facet-sign inclusion test.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catalog import (
     G_S2,
@@ -21,18 +25,21 @@ from catalog import (
     build,
     fan_f1_cones,
     fan_f2_cones,
+    grid_box,
     nonfan_cones,
     random_grid_fan_cones,
     random_rational_fan_rays,
 )
-from oracles import brute_inclusion
+from oracles import brute_inclusion, common_face_by_dd, lift_by_rays
 from toricval import (
+    Cone,
     DimensionMismatch,
     FieldMismatch,
     HalfSpace,
     NotAFan,
     fan_finite_type,
     fan_from_cones,
+    fans,
     fe,
     make_admissible,
     polyhedra,
@@ -41,6 +48,8 @@ from toricval import (
     recession_fan,
     slice_complex,
 )
+from toricval._io import rational_fan_from_json
+from toricval.linalg import vec
 
 
 # -- fan construction -----------------------------------------------------------
@@ -275,14 +284,126 @@ def _count_dd_runs(monkeypatch):
     return calls
 
 
-def test_fan_one_dd_run_per_distinct_pair(monkeypatch):
+def test_fan_dd_runs_only_for_pairs_no_facet_settles(monkeypatch):
     inputs = random_grid_fan_cones(random.Random(5))
     inputs.append(inputs[0])
     distinct = sum(1 for a, b in itertools.combinations(inputs, 2)
                    if a.key() != b.key())
     calls = _count_dd_runs(monkeypatch)
     fan = fan_from_cones(inputs)
-    assert len(calls) == distinct
+    # separating facets settle every pair of boxes; each of the 10 runs
+    # pairs one of the inserted lower-dimensional faces with another input
+    assert (distinct, len(calls)) == (77, 10)
     del calls[:]
     slice_complex(fan)
     assert calls == []
+
+
+# -- the pair check against one run per pair ------------------------------------------
+
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None)
+
+
+def _outcome(construct, inputs):
+    """(None, the fan and its poset), or (the input pair, the message) of
+    the NotAFan raised."""
+    try:
+        fan = construct(inputs)
+    except NotAFan as exc:
+        return (exc.i, exc.j), str(exc)
+    return None, (fan, fan.poset)
+
+
+def _agrees_with_dd_route(construct, inputs, kernel):
+    """Check the separating-facet rule on inputs against a run per pair;
+    return the kinds of pair seen: settled, or accepted or rejected by the
+    fallback."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fans, "_settled", lambda a, b: False)
+        by_dd = _outcome(construct, inputs)
+    assert _outcome(construct, inputs) == by_dd
+
+    kinds, first_bad = set(), None
+    for (i, a), (j, b) in itertools.combinations(enumerate(map(kernel, inputs)), 2):
+        if a.key() == b.key():
+            continue
+        common = common_face_by_dd(a, b)
+        if fans._settled(a, b):
+            assert common
+            kinds.add("settled")
+        else:
+            kinds.add("accepted" if common else "rejected")
+        if not common and first_bad is None:
+            first_bad = (i, j)
+    assert by_dd[0] == first_bad
+    return kinds
+
+
+@st.composite
+def pointed_cones_r3(draw):
+    """Two or three pointed cones in R^3 on rays drawn from one small pool of
+    integer directions, so that they often share faces."""
+    direction = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+    pool = draw(st.lists(direction, min_size=2, max_size=6, unique=True))
+    cones = []
+    for _ in range(draw(st.integers(2, 3))):
+        rays = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                             unique=True))
+        cone = Cone.from_rays(3, [vec(r) for r in rays])
+        assume(not cone.lineality)
+        cones.append(cone)
+    return cones
+
+
+@st.composite
+def grid_boxes(draw):
+    """Two or three admissible cones over integer boxes in [0, 4]^2, possibly
+    flat: disjoint, sharing an edge or a corner, or overlapping."""
+    boxes = []
+    for _ in range(draw(st.integers(2, 3))):
+        lo = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        hi = tuple(x + draw(st.integers(0, 2)) for x in lo)
+        boxes.append(grid_box(lo, hi))
+    return boxes
+
+
+@pytest.mark.parametrize("inputs,construct,kernel", [
+    (pointed_cones_r3(), lambda cs: rational_fan_from_cones(3, cs), lambda c: c),
+    (grid_boxes(), fan_from_cones, lambda ac: ac.cone),
+], ids=["pointed-cones", "grid-boxes"])
+def test_pair_rule_matches_dd_route(inputs, construct, kernel):
+    kinds = set()
+
+    @PROPERTY
+    @given(inputs)
+    def check(cones):
+        kinds.update(_agrees_with_dd_route(construct, cones, kernel))
+
+    check()
+    assert kinds == {"settled", "accepted", "rejected"}
+
+
+# -- product lifts against the cone over the lifted rays ----------------------------
+
+
+def _assert_lifts_match_rays(rf, gamma):
+    up = vec((0,) * rf.n + (1,))
+    lifts = [ac.cone.key() for ac in product_fan(rf, gamma).all_cones
+             if up in ac.cone.rays]
+    assert len(lifts) == len(rf.cones)
+    assert set(lifts) == {lift_by_rays(c).key() for c in rf.cones}
+
+
+@pytest.mark.parametrize("name", ["prodfan1.json", "prodfan2.json"])
+def test_product_fan_lifts_match_rays_on_fixtures(name):
+    path = Path(__file__).parent / "fixtures" / name
+    _assert_lifts_match_rays(*rational_fan_from_json(json.loads(path.read_text())))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_fan_lifts_match_rays_on_random_fans(seed):
+    rng = random.Random(seed)
+    rf = rational_fan_from_cones(2, random_rational_fan_rays(rng))
+    _assert_lifts_match_rays(rf, rng.choice([G_Z, G_SIXTH, G_S2]))

@@ -65,6 +65,14 @@ def test_config_length_mismatch():
         HeightedConfig(1, [(0,), (1,)], [fe(0)])
 
 
+def test_config_equality_sees_each_height():
+    cfg = HeightedConfig(1, [(0,), (1,), (2,)], [fe(1), fe(0), fe(1)])
+    same = HeightedConfig(1, [(0,), (1,), (2,)], [fe(1), fe(0), fe(1)])
+    assert cfg == same and hash(cfg) == hash(same)
+    for heights in ([fe(1), fe(0), fe(2)], [fe(1), fe(0), None]):
+        assert cfg != HeightedConfig(1, [(0,), (1,), (2,)], heights)
+
+
 def test_heights_from_valuations():
     heights = heights_from_valuations([fe(1), None, fe(0)], G_Z)
     assert tuple(heights) == (fe(1), None, fe(0))
