@@ -9,22 +9,30 @@ canonical ray sets alone: fan cones are pointed and, once the pairwise check
 has passed, meet in common faces, so one fan cone lies in another iff it is
 a face of it, iff its extreme rays are among the other's.
 
-The pairwise check reads a certificate off the facets the two cones already
-have, after the separation lemma (Fulton, Introduction to Toric Varieties,
-§1.2): two cones meet in a common face iff some hyperplane separates them and
-cuts that face out of both.  For pointed cones a and b, the cut is every
-facet of a that is <= 0 on all rays of b and every facet of b that is <= 0 on
-all rays of a.  Each such hyperplane is >= 0 on one cone and <= 0 on the
-other, so it vanishes on a ∩ b.  The rays of a on every hyperplane of the cut
-span a face F of a, those of b a face G of b, and a ∩ b lies in both.  When
-the two ray sets are equal, F = G lies in a ∩ b, so a ∩ b = F is a common
-face.  Only a pair whose ray sets differ costs a double description run: its
-intersection is built and tested against the face lattices of both cones.
+The pairwise check reads a certificate off the constraints the two cones
+already have, after the separation lemma (Fulton, Introduction to Toric
+Varieties, §1.2): two cones meet in a common face iff some hyperplane
+separates them and cuts that face out of both.  For pointed cones a and b,
+the cut is every facet of a, and either sign of each equation of a, that is
+<= 0 on all rays of b, and likewise for b.  Each such hyperplane is >= 0 on
+one cone and <= 0 on the other (an equation vanishes on its own cone), so it
+vanishes on a ∩ b.  The rays of a on every hyperplane of the cut span a face
+F of a, those of b a face G of b, and a ∩ b lies in both.  When the two ray
+sets are equal, F = G lies in a ∩ b, so a ∩ b = F is a common face.  Only a
+pair whose ray sets differ costs a double description run: its intersection
+is built and put to the least-face test against both cones.
+
+Two constructors skip the check, because their cones are fans by
+construction.  product_fan lifts the maximal cones of a rational fan, and
+(sigma x R+) ∩ (tau x R+) = (sigma ∩ tau) x R+, a common face of both lifts.
+recession_fan takes sigma ∩ {s = 0} for each maximal cone; s >= 0 on sigma,
+so that is a face of sigma, and faces of a fan meet in common faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .admissible import is_finite_type, make_admissible
 from .errors import DimensionMismatch, FieldMismatch, NotAFan, shown
@@ -38,36 +46,26 @@ def _cone_sort_key(c: Cone):
 
 
 def _separating(a, b):
-    """The facets of a that are <= 0 on every ray of b."""
-    return [f for f in a.facets if all(vdot(f, r).sign() <= 0 for r in b.rays)]
+    """The constraints of a (facets, ±equations) that are <= 0 on all of b's rays."""
+    return [
+        f for f in a.all_constraints() if all(vdot(f, r).sign() <= 0 for r in b.rays)
+    ]
 
 
 def _settled(a, b):
-    """True when the separating facets of a and b pick the same canonical
-    rays out of both, which makes a ∩ b the cone over them, a common face."""
+    """True when the separating constraints of a and b pick the same rays out
+    of both, which makes a ∩ b the cone over them, a common face."""
     cut = _separating(a, b) + _separating(b, a)
-
-    def on_cut(c):
-        return tuple(r for r in c.rays if not any(vdot(h, r) for h in cut))
-
-    return on_cut(a) == on_cut(b)
+    return a.rays_on(cut) == b.rays_on(cut)
 
 
-def _checked_closure(cones, kernel, faces):
-    """The pair check and face closure shared by both fan constructors.
+def _check_pairs(cones, kernel):
+    """Raise NotAFan on the first input pair, by position, whose pointed
+    kernel cones kernel(c) do not meet in a common face.
 
-    kernel(c) is the pointed kernel cone of input c, faces(c) its faces.
-    Raises NotAFan on the first input pair, by position, whose intersection
-    is not a common face.  Returns (maximal, all_cones, poset): the
-    deduplicated inputs that are no face of another input, the face closure
-    of those sorted by (dimension, canonical form), and its poset.
-
-    A pair passes with no double description run when the separating facets
-    of either cone (those <= 0 on the other; see the module docstring) pick
-    the same canonical rays out of both cones: a ∩ b is then the cone over
-    those rays, a face of both.  Any other pair falls back to building a ∩ b
-    and looking it up among the faces of a and of b, which decides the pair
-    and words the NotAFan message.
+    A pair that _settled passes costs no double description run; any other
+    builds a ∩ b and puts it to the least-face test against a and b, which
+    decides the pair and words the NotAFan message.
     """
     for i in range(len(cones)):
         a = kernel(cones[i])
@@ -84,13 +82,20 @@ def _checked_closure(cones, kernel, faces):
                     f"is not a common face",
                 )
 
+
+def _closure(cones, kernel, faces):
+    """The face closure of cones that meet pairwise in common faces.
+
+    kernel(c) is the pointed kernel cone of input c, faces(c) its faces.
+    Returns (maximal, all_cones, poset): the deduplicated inputs that are no
+    face of another input, the face closure of those sorted by (dimension,
+    canonical form), and its poset.
+    """
     uniq = {}
     for c in cones:
         uniq.setdefault(kernel(c).key(), c)
     items = sorted(uniq.values(), key=lambda c: _cone_sort_key(kernel(c)))
-    dominated = {
-        i for i, _ in strict_inclusions([kernel(c).rays for c in items])
-    }
+    dominated = {i for i, _ in strict_inclusions([kernel(c).rays for c in items])}
     maximal = [c for i, c in enumerate(items) if i not in dominated]
 
     closed = {}
@@ -154,10 +159,9 @@ def fan_from_cones(cones) -> Fan:
         if c.gamma != gamma:
             raise FieldMismatch("cones over different value groups")
 
-    maximal, all_cones, poset = _checked_closure(
-        cones, lambda c: c.cone, lambda c: c.faces()[0]
-    )
-    return Fan(n, gamma, maximal, all_cones, poset)
+    kernel = attrgetter("cone")
+    _check_pairs(cones, kernel)
+    return Fan(n, gamma, *_closure(cones, kernel, lambda c: c.faces()[0]))
 
 
 @dataclass(frozen=True)
@@ -237,50 +241,38 @@ def rational_fan_from_cones(n, cones) -> RationalFan:
         norm.append(c)
     if not norm:
         raise ValueError("a fan needs at least one cone")
-    _, out, poset = _checked_closure(
-        norm, lambda c: c, lambda c: c.face_lattice()[0]
-    )
+    _check_pairs(norm, lambda c: c)
+    _, out, poset = _closure(norm, lambda c: c, lambda c: c.face_lattice()[0])
     return RationalFan(n, tuple(out), poset)
 
 
 def recession_fan(fan: Fan) -> RationalFan:
-    """The fan of recession cones: sigma ∩ {s = 0} in R^n for every fan cone,
-    deduplicated and re-validated as a rational fan."""
+    """The fan of recession cones sigma ∩ {s = 0} in R^n, closed under
+    faces; a fan by construction (module docstring), so left unchecked."""
     recs = []
     for ac in fan.maximal_cones:
         horiz = [r[:-1] for r in ac.cone.rays if not r[-1]]
         recs.append(Cone.from_rays(fan.n, horiz))
-    return rational_fan_from_cones(fan.n, recs)
+    _, out, poset = _closure(recs, lambda c: c, lambda c: c.face_lattice()[0])
+    return RationalFan(fan.n, tuple(out), poset)
 
 
-def product_fan(pi, gamma: ValueGroup) -> Fan:
-    """The fan {sigma x R+ : sigma in pi} over gamma, all constants zero.
-
-    pi is a RationalFan or a list of pointed rational cones (or ray lists).
-    """
-    if isinstance(pi, RationalFan):
-        rf = pi
-    else:
-        pi = list(pi)
-        if not pi:
-            raise ValueError("a fan needs at least one cone")
-        if isinstance(pi[0], Cone):
-            n = pi[0].dim
-        else:
-            n = next((len(r) for c in pi for r in c), None)
-        if n is None:
-            raise ValueError("cannot infer the ambient dimension from pi")
-        rf = rational_fan_from_cones(n, pi)
+def product_fan(rf: RationalFan, gamma: ValueGroup) -> Fan:
+    """The fan {sigma x R+ : sigma in rf} over gamma, all constants zero, from
+    the lifts of rf's maximal cones; a fan by construction (module docstring)."""
     n = rf.n
+    below = {i for i, _ in rf.poset}
     lifted = []
-    for c in rf.cones:
+    for i, c in enumerate(rf.cones):
+        if i in below:
+            continue
         hss = [HalfSpace(primitive_int_vector(f), FE_ZERO) for f in c.facets]
         for e in c.equations:
             ue = primitive_int_vector(e)
             hss.append(HalfSpace(ue, FE_ZERO))
             hss.append(HalfSpace(tuple(-x for x in ue), FE_ZERO))
         lifted.append(make_admissible(n, hss, gamma))
-    return fan_from_cones(lifted)
+    return Fan(n, gamma, *_closure(lifted, attrgetter("cone"), lambda c: c.faces()[0]))
 
 
 def fan_finite_type(fan: Fan) -> bool:

@@ -371,12 +371,17 @@ class Cone:
         self._faces = (faces, edges)
         return self._faces
 
+    def rays_on(self, hyperplanes):
+        """The rays on which every one of the hyperplanes vanishes."""
+        return tuple(r for r in self.rays if not any(vdot(h, r) for h in hyperplanes))
+
     def is_face_of(self, other):
-        if self.dim != other.dim:
+        """The least-face test: the facets of other vanishing on self's rays
+        cut out a face of other, and self is a face iff it is that face."""
+        if (self.dim, self.lineality) != (other.dim, other.lineality):
             return False
-        mine = self.key()
-        faces, _ = other.face_lattice()
-        return any(f.key() == mine for f in faces)
+        cut = [f for f in other.facets if not any(vdot(f, r) for r in self.rays)]
+        return other.rays_on(cut) == self.rays
 
     # -- identity -------------------------------------------------------------
 

@@ -7,8 +7,10 @@ Only FieldElement arithmetic is borrowed from the package, apart from
 fresh_dual, a second double description run where Cone.dual swaps sides,
 cell_cone_faces and weight_polytope_reference, which take the long way
 through kernel cones (one per lower facet and per cell, or one over the
-points), common_face_by_dd and lift_by_rays, the fan routes by one run per
-cone pair and per lifted cone, and the reference routes for the semigroup searches
+points), face_by_lattice, common_face_by_dd and lift_by_rays, the fan
+routes by a whole face lattice, by one run per cone pair and per lifted cone,
+product_by_pair_check and recession_by_pair_check, the product and recession
+fans validated pair by pair, and the reference routes for the semigroup searches
 (pairwise_generators, dfs_saturation_check), which build the package's
 GeneratorSet and its hull; every algorithm here is deliberately naive.
 """
@@ -18,8 +20,18 @@ from fractions import Fraction
 
 import mpmath
 
-from toricval import BoundTooSmall, Cone, FieldElement, GeneratorSet, fe
-from toricval.linalg import vec, vneg
+from toricval import (
+    BoundTooSmall,
+    Cone,
+    FieldElement,
+    GeneratorSet,
+    HalfSpace,
+    fan_from_cones,
+    fe,
+    make_admissible,
+    rational_fan_from_cones,
+)
+from toricval.linalg import primitive_int_vector, vec, vneg
 from toricval.ordfield import FE_ONE, FE_ZERO, as_fe
 
 # -- interval-arithmetic sign -----------------------------------------------
@@ -212,12 +224,41 @@ def all_pairs_inclusions(sets):
 # -- fan pair check and product lifts, one run each ------------------------------
 
 
+def face_by_lattice(c, a):
+    """Whether c is a face of a, by a look-up among all faces of a's face
+    lattice: the scan that Cone.is_face_of's least-face test replaced."""
+    return c.dim == a.dim and any(f.key() == c.key() for f in a.face_lattice()[0])
+
+
 def common_face_by_dd(a, b):
     """Whether a ∩ b is a face of both cones, by a double description run on
     both cones' constraints and a look-up in both face lattices: the route
-    that fans takes only for pairs no separating facet settles."""
+    that fans takes, with the least-face test, only for pairs no separating
+    constraint settles."""
     inter = a.intersect(b)
-    return inter.is_face_of(a) and inter.is_face_of(b)
+    return face_by_lattice(inter, a) and face_by_lattice(inter, b)
+
+
+def product_by_pair_check(rf, gamma):
+    """The product fan of rf over gamma by lifting every cone of rf, faces
+    included, and validating the lifts pairwise with fan_from_cones."""
+    lifted = []
+    for c in rf.cones:
+        hss = [HalfSpace(primitive_int_vector(f), 0) for f in c.facets]
+        for e in c.equations:
+            ue = primitive_int_vector(e)
+            hss += [HalfSpace(ue, 0), HalfSpace(tuple(-x for x in ue), 0)]
+        lifted.append(make_admissible(rf.n, hss, gamma))
+    return fan_from_cones(lifted)
+
+
+def recession_by_pair_check(fan):
+    """The recession fan of fan, its cones validated pairwise by
+    rational_fan_from_cones."""
+    return rational_fan_from_cones(fan.n, [
+        Cone.from_rays(fan.n, [r[:-1] for r in ac.cone.rays if not r[-1]])
+        for ac in fan.maximal_cones
+    ])
 
 
 def lift_by_rays(c):

@@ -5,6 +5,7 @@ subprocess to cover the console entry point end to end.
 """
 
 import copy
+import hashlib
 import io
 import json
 import os
@@ -60,6 +61,7 @@ MATRIX = [
     (0, ["recession", "F2.json"]),
     (0, ["product-fan", "prodfan1.json"]),
     (0, ["product-fan", "prodfan2.json"]),
+    (0, ["product-fan", "prodfan3.json"]),
     (0, ["weightsub", "P1.json"]),
     (0, ["weightsub", "P1flat.json"]),
     (0, ["weightsub", "P1mid.json"]),
@@ -83,6 +85,92 @@ def test_exit_code_matrix(expected, argv):
     assert code == expected, out
     payload = json.loads(out)
     assert isinstance(payload, dict)
+
+
+# sha256 of every matrix report, run from the fixture directory so that no
+# absolute path reaches a message: a change that moves one byte of a report
+# fails here, and a change meant to move it re-records the hash
+REPORT_SHA256 = {
+    ("check-cone", "C1.json"):
+        "9d08edcce761a0cc8c3f4c152ba34a35eebc1fed09e019cdff765ffa37b9a221",
+    ("check-cone", "C1s.json"):
+        "9582c023a9bf8986affdf26eccaa2d447a3e623a3e1955f4e3a0361a7f57fc3a",
+    ("check-cone", "C2.json"):
+        "e32665b28dbabf0739af3c1dce1f0e415100adba81541fa489a00556d76acbfa",
+    ("check-cone", "Quad23.json"):
+        "a460857492de5a054fcd97986881b5f712e7f5e4d9004ccf0cccaf286846ae2c",
+    ("check-cone", "Vray2.json"):
+        "8fb4a2faab689ef051739e6629f1092f4b551a793e8be2a4a7b9f4bf29ad588e",
+    ("check-cone", "cone-notadmissible.json"):
+        "faf7e280a8ea8f083d44f1beb2c45061a26f918ec49251cb974ab4e82030992f",
+    ("check-cone", "cone-line.json"):
+        "6d4545bf660e550b8ab7b0441fefe473e8e2402edd60a3cbfee55b0ffa95e6b6",
+    ("check-cone", "bad-decimal.json"):
+        "c5ed43e58def3a5c16d95d64ca15570ca134a4efb4d337ec040e298c6009204e",
+    ("check-cone", "bad-unknown-key.json"):
+        "1bfcbe0b204fd0cc8678b6319c2af26fc7bc4bb222611b42022058e1741e9640",
+    ("check-cone", "missing.json"):
+        "7244a7418c8b5bf162cfb59d18b21a81ce2fb48919859f7e83b5e978640a3bc4",
+    ("dual", "C1.json"):
+        "f8caf0dfa8143591dc5cb6b61d44cf6aea348214bada900b4307375b992d482a",
+    ("generators", "C1.json", "--bound", "2"):
+        "5b0d39e38d3ed2c04eb8f26325ebd88003e7348115567402b95184b2721e96a3",
+    ("generators", "C1s.json", "--bound", "2"):
+        "6d7924128b13c5fb73b42e7508f8168ce1781f3d64a81da309dffd4b0a8435ba",
+    ("round-trip", "C1.json", "--bound", "2"):
+        "056b42711ba945fc77c59af9d3f9d41426ae52fc24ce4f4130772b88ed4f55c2",
+    ("round-trip", "C1s.json", "--bound", "2"):
+        "ccc0138ea13ae338d39705b45008161a1c443e4037b90259796a6292d89110e7",
+    ("fan-validate", "F1.json"):
+        "52a6772aea8185b2047adbc35a3b3529c3cf2a2ce6c11d43c4a5acb17dc7cddc",
+    ("fan-validate", "F2.json"):
+        "a8cd0ce7bfb31eb78aaa08f9a2b44293f6a0e6883ded3c933dc9534d0d67fef7",
+    ("fan-validate", "Fbad.json"):
+        "58223d9d89452cdcb5884c7bfb103bf34012a0bd344a57747d323d57f68e5ad2",
+    ("fan-validate", "nonfan.json"):
+        "f31b257b52445a3a56f15b4002e55efe70080105b2297de013820c1549335396",
+    ("slice", "F1.json"):
+        "3d69d52133ea5f34c3ea3a8e40ba93b661bc58ad88e1f8a1b827b2b9e4ced61c",
+    ("slice", "F2.json"):
+        "3c5775c8c4564443aafebb7ddb4ffbde9b8eca9279e63e72216649a7e1d2b150",
+    ("recession", "F2.json"):
+        "66ddb88a42a0b20ca6c8fa76a07e874260890a719aa3ef766855956995c52a60",
+    ("product-fan", "prodfan1.json"):
+        "c5549649a6478a93226a35ad490a9498fdc79e6e1c8cd211fc4d37f28879ac7e",
+    ("product-fan", "prodfan2.json"):
+        "a4b1d388269e97e95c7d7a767e7dc002be8e69637f96cdd16f240fa699b8f4e2",
+    ("product-fan", "prodfan3.json"):
+        "161474ae4cd5c97780b9f9c324a9bc0dbf21ebb345c3f5f8357e0f530cd9f939",
+    ("weightsub", "P1.json"):
+        "1d818ad2435e98dde49945cf6f4129fbe980631d151cb383933c96a45cf377ab",
+    ("weightsub", "P1flat.json"):
+        "32437c250e1b547f088bdb65b44dc37de1bfd8217d9c10822351897b9ab2dd99",
+    ("weightsub", "P1mid.json"):
+        "3446439f89f297b64b34336c080e1e1c6ba64407a2386021ddfa3872660ffd7a",
+    ("weightsub", "P1inf.json"):
+        "554f1d661c99a32d628534d710034f1de8a3b455a186123e60aef20a7c632481",
+    ("weightsub", "P2.json"):
+        "0671ba25e3a0241fccfc9bb9d004e704bc7452af91113fb07e82014c7fa9941d",
+    ("weightsub", "P2s.json"):
+        "d50abecfdffe4aafb3f9f6b8c1476d93b0a0de965db8d846723835b46a8309cf",
+    ("orbits", "P1.json"):
+        "28dcee17e8cdfac83cb372ced7e7674f874a73a85a6278f4e557c294e5e1ea1b",
+    ("orbits", "P1mid.json"):
+        "efe1a1731f8cff6db1be9324d4e26651d7bfd812e853cd567fc0f84bac3907c3",
+    ("saturation", "gens-sat.json", "--bu", "3", "--kmax", "3"):
+        "add6ca946bac13cb650ad9427bc1a663c82eb8d57e138699789b8546cee2a38d",
+    ("saturation", "gens-witness.json", "--bu", "3", "--kmax", "3"):
+        "f05ddef00751e9aea58384801e97bb998d56d15d495df4516c04bcab8da3905d",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [a for _, a in MATRIX], ids=["-".join(a[:2]) for _, a in MATRIX],
+)
+def test_matrix_report_bytes_pinned(monkeypatch, argv):
+    monkeypatch.chdir(FIXTURES)
+    _, out = run_cli(*argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[tuple(argv)]
 
 
 def test_output_is_valid_sorted_json():
@@ -134,8 +222,9 @@ DD_RUNS = [
     (3, ["fan-validate", "nonfan.json"]),
     (3, ["slice", "F2.json"]),
     (6, ["recession", "F2.json"]),
-    (5, ["product-fan", "prodfan1.json"]),
-    (5, ["product-fan", "prodfan2.json"]),
+    (4, ["product-fan", "prodfan1.json"]),
+    (2, ["product-fan", "prodfan2.json"]),
+    (16, ["product-fan", "prodfan3.json"]),
     (1, ["weightsub", "P2.json"]),
     (1, ["orbits", "P1.json"]),
     (1, ["saturation", "gens-witness.json", "--bu", "3", "--kmax", "3"]),
@@ -171,8 +260,9 @@ H_SIDES = [
     (2, ["fan-validate", "nonfan.json"]),
     (3, ["slice", "F2.json"]),
     (6, ["recession", "F2.json"]),
-    (8, ["product-fan", "prodfan1.json"]),
-    (9, ["product-fan", "prodfan2.json"]),
+    (6, ["product-fan", "prodfan1.json"]),
+    (3, ["product-fan", "prodfan2.json"]),
+    (24, ["product-fan", "prodfan3.json"]),
 ]
 
 

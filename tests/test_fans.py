@@ -30,7 +30,13 @@ from catalog import (
     random_grid_fan_cones,
     random_rational_fan_rays,
 )
-from oracles import brute_inclusion, common_face_by_dd, lift_by_rays
+from oracles import (
+    brute_inclusion,
+    common_face_by_dd,
+    lift_by_rays,
+    product_by_pair_check,
+    recession_by_pair_check,
+)
 from toricval import (
     Cone,
     DimensionMismatch,
@@ -48,8 +54,8 @@ from toricval import (
     recession_fan,
     slice_complex,
 )
-from toricval._io import rational_fan_from_json
-from toricval.linalg import vec
+from toricval._io import dumps, fan_to_json, int_list, rational_fan_from_json
+from toricval.linalg import primitive_int_vector, vec
 
 
 # -- fan construction -----------------------------------------------------------
@@ -205,21 +211,6 @@ def test_product_fan_slice_single_vertex():
         assert sc.vertices == ((fe(0),) * n,)
 
 
-def test_product_fan_accepts_ray_lists():
-    assert product_fan(PI1_RAYS, G_Z) == product_fan(
-        rational_fan_from_cones(1, PI1_RAYS), G_Z
-    )
-
-
-def test_product_fan_needs_a_cone_and_a_ray():
-    with pytest.raises(ValueError, match="a fan needs at least one cone"):
-        product_fan([], G_Z)
-    with pytest.raises(ValueError, match="cannot infer the ambient dimension"):
-        product_fan([[], []], G_Z)
-    # n comes from the first ray of any cone
-    assert product_fan([[], [(1,)]], G_Z) == product_fan([[(1,)]], G_Z)
-
-
 # -- finite type -----------------------------------------------------------------
 
 
@@ -284,19 +275,34 @@ def _count_dd_runs(monkeypatch):
     return calls
 
 
-def test_fan_dd_runs_only_for_pairs_no_facet_settles(monkeypatch):
+def test_fan_separating_constraints_settle_every_grid_pair(monkeypatch):
     inputs = random_grid_fan_cones(random.Random(5))
     inputs.append(inputs[0])
     distinct = sum(1 for a, b in itertools.combinations(inputs, 2)
                    if a.key() != b.key())
     calls = _count_dd_runs(monkeypatch)
     fan = fan_from_cones(inputs)
-    # separating facets settle every pair of boxes; each of the 10 runs
-    # pairs one of the inserted lower-dimensional faces with another input
-    assert (distinct, len(calls)) == (77, 10)
-    del calls[:]
+    # separating facets and equations settle every pair, the inserted
+    # lower-dimensional faces included, so no pair costs a run
+    assert (distinct, len(calls)) == (77, 0)
     slice_complex(fan)
     assert calls == []
+
+
+def test_fallback_accepts_pair_no_constraint_settles(monkeypatch):
+    # two triangular cones on either side of s = 0 whose cross-sections form
+    # a hexagram: they meet only in 0, yet no facet of either separates them
+    a = Cone.from_rays(3, [vec(r) for r in [(0, 2, 1), (-2, -1, 1), (2, -1, 1)]])
+    b = Cone.from_rays(3, [vec(r) for r in [(0, 2, -1), (-2, -1, -1), (2, -1, -1)]])
+    assert not fans._settled(a, b)
+    runs = []
+    real = Cone.intersect
+    monkeypatch.setattr(Cone, "intersect",
+                        lambda x, y: runs.append(1) or real(x, y))
+    fan = rational_fan_from_cones(3, [a, b])
+    assert len(runs) == 1
+    # the apex, six rays, six two-dimensional faces and the two cones
+    assert len(fan.cones) == 15
 
 
 # -- the pair check against one run per pair ------------------------------------------
@@ -407,3 +413,80 @@ def test_product_fan_lifts_match_rays_on_random_fans(seed):
     rng = random.Random(seed)
     rf = rational_fan_from_cones(2, random_rational_fan_rays(rng))
     _assert_lifts_match_rays(rf, rng.choice([G_Z, G_SIXTH, G_S2]))
+
+
+# -- product and recession fans against the routes that check every pair ----------
+
+
+def _orthant_rays(n):
+    return [[tuple(s if i == j else 0 for j in range(n)) for i, s in enumerate(signs)]
+            for signs in itertools.product((1, -1), repeat=n)]
+
+
+def _unbounded_grid_fan(rng):
+    """Admissible cones over some cells of a random grid on R^2 whose outer
+    cells run to infinity, so that the recession cones are quadrants, half
+    lines and the apex."""
+    cuts = [sorted(rng.sample(range(-3, 4), rng.randint(1, 3))) for _ in range(2)]
+    cones = []
+    for cell in itertools.product(*[zip([None] + c, c + [None]) for c in cuts]):
+        hss = []
+        for axis, (lo, hi) in enumerate(cell):
+            e = tuple(int(k == axis) for k in range(2))
+            if lo is not None:
+                hss.append(HalfSpace(e, -lo))
+            if hi is not None:
+                hss.append(HalfSpace(tuple(-x for x in e), hi))
+        cones.append(make_admissible(2, hss, G_Z))
+    rng.shuffle(cones)
+    return cones[:rng.randint(1, len(cones))]
+
+
+def _same_fan(new, old, to_json):
+    assert new == old
+    assert new.poset == old.poset
+    assert dumps(to_json(new)) == dumps(to_json(old))
+
+
+def _rational_fan_json(rf):
+    """The recession command's report on rf."""
+    return {
+        "n": rf.n,
+        "cones": [[int_list(primitive_int_vector(r)) for r in c.rays]
+                  for c in rf.cones],
+        "poset": [list(e) for e in rf.poset],
+    }
+
+
+@st.composite
+def rational_fans(draw):
+    """A random pointed fan in R^2 (some of its maximal cones rays), or the
+    orthant fan of R^1, R^2 or R^3."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return rational_fan_from_cones(
+            2, random_rational_fan_rays(random.Random(seed)))
+    n = draw(st.integers(1, 3))
+    return rational_fan_from_cones(n, _orthant_rays(n))
+
+
+FAN_PROPERTY = settings(PROPERTY, max_examples=60)
+
+
+@FAN_PROPERTY
+@given(rational_fans(), st.sampled_from([G_Z, G_SIXTH, G_S2]))
+def test_product_and_recession_match_pair_checked_routes(rf, gamma):
+    lifted = product_fan(rf, gamma)
+    _same_fan(lifted, product_by_pair_check(rf, gamma), fan_to_json)
+    _same_fan(recession_fan(lifted), recession_by_pair_check(lifted),
+              _rational_fan_json)
+
+
+@FAN_PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_recession_of_grid_fans_matches_pair_checked_route(seed):
+    rng = random.Random(seed)
+    for fan in (fan_from_cones(_unbounded_grid_fan(rng)),
+                fan_from_cones(random_grid_fan_cones(rng))):
+        _same_fan(recession_fan(fan), recession_by_pair_check(fan),
+                  _rational_fan_json)

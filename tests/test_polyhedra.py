@@ -30,6 +30,7 @@ from oracles import (
     brute_face_sets,
     brute_rays,
     canon_rays,
+    face_by_lattice,
     fresh_dual,
     matrix_rank,
     sides,
@@ -257,10 +258,10 @@ def test_lineality_detected():
 
 
 @st.composite
-def random_inputs(draw):
+def random_inputs(draw, dim=None):
     """(dim, vecs, lin): a few vectors over Q or Q(sqrt 2) and at most one
-    line."""
-    dim = draw(st.integers(2, 4))
+    line, in R^dim or in a random dimension from 2 to 4."""
+    dim = dim or draw(st.integers(2, 4))
     if draw(st.booleans()):
         coord = st.builds(fe, st.integers(-3, 3))
     else:
@@ -271,8 +272,8 @@ def random_inputs(draw):
 
 
 @st.composite
-def random_cones(draw):
-    dim, vecs, lin = draw(random_inputs())
+def random_cones(draw, dim=None):
+    dim, vecs, lin = draw(random_inputs(dim))
     if draw(st.booleans()):
         return Cone.from_constraints(dim, vecs + lin + [vneg(l) for l in lin])
     return Cone.from_rays(dim, vecs, lin)
@@ -293,6 +294,40 @@ def test_one_run_matches_both_runs(cone):
                      if not sum((a * b for a, b in zip(f, v)), fe(0))}
     assert polyhedra.dd_pair(cone.dim, cone.all_constraints())[:2] == (
         cone.rays, cone.lineality)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two random cones in one dimension; half the time the second has the
+    first one's lineality, so that their intersection may be a face."""
+    a = draw(random_cones())
+    if draw(st.booleans()):
+        return a, draw(random_cones(a.dim))
+    _, vecs, _ = draw(random_inputs(a.dim))
+    return a, Cone.from_rays(a.dim, vecs, a.lineality)
+
+
+def test_least_face_test_matches_lattice_scan():
+    seen = set()
+
+    @PROPERTY
+    @given(cone_pairs())
+    def check(pair):
+        a, b = pair
+        inter = a.intersect(b)
+        cases = [("face", f, a) for f in a.face_lattice()[0]] + [
+            ("intersection", inter, a), ("intersection", inter, b),
+            ("unrelated", b, a), ("unrelated", a, b)]
+        for kind, c, d in cases:
+            face = c.is_face_of(d)
+            assert face == face_by_lattice(c, d), (kind, c, d)
+            seen.add((kind, face, bool(d.lineality)))
+
+    check()
+    assert {(kind, face) for kind, face, _ in seen} == {
+        ("face", True), ("intersection", True), ("intersection", False),
+        ("unrelated", True), ("unrelated", False)}
+    assert ("intersection", True, True) in seen
 
 
 @PROPERTY
