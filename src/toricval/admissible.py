@@ -32,7 +32,7 @@ from .errors import (
     NotFiniteType,
 )
 from ._rational import Q
-from .linalg import canonical_ray, int_vector, primitive_int_vector, vdot, vec
+from .linalg import canonical_ray, int_vector, primitive_int_vector, vec
 from .ordfield import FieldElement, ValueGroup, as_fe, pair_sign
 from .polyhedra import Cone, HalfSpace, vertical_normal
 
@@ -141,20 +141,25 @@ class AdmissibleCone:
 
     def faces(self):
         """All faces as admissible cones (geometry from the kernel lattice,
-        presentation from the original half-spaces plus tight negations)."""
+        presentation from the original half-spaces plus tight negations).
+        The half-spaces tight on each face, and the vertical constraint,
+        come from one Cone.tight_on_faces call."""
         kfaces, edges = self.cone.face_lattice()
-        return [self._wrap_face(f) for f in kfaces], edges
+        normals = [h.normal() for h in self.halfspaces] + [vertical_normal(self.n)]
+        tight = self.cone.tight_on_faces(normals)
+        return [self._wrap_face(f, t) for f, t in zip(kfaces, tight)], edges
 
-    def _wrap_face(self, face: Cone):
+    def _wrap_face(self, face: Cone, tight):
+        """face with the half-spaces whose indices are in tight negated too;
+        index len(halfspaces), the vertical constraint, pins it to s = 0."""
         if face.key() == self.cone.key():
             return self
         hss = list(self.halfspaces)
-        test_vecs = list(face.rays) + list(face.lineality)
-        for h in self.halfspaces:
-            normal = h.normal()
-            if all(not vdot(normal, r) for r in test_vecs):
+        for i in tight:
+            if i < len(self.halfspaces):
+                h = self.halfspaces[i]
                 hss.append(HalfSpace(tuple(-x for x in h.u), -h.c))
-        vertical = all(not r[-1] for r in test_vecs)
+        vertical = len(self.halfspaces) in tight
         return AdmissibleCone(self.n, self.gamma, hss, face,
                               vertical_tight=vertical or self.vertical_tight)
 

@@ -20,13 +20,17 @@ vanishes on a ∩ b.  The rays of a on every hyperplane of the cut span a face
 F of a, those of b a face G of b, and a ∩ b lies in both.  When the two ray
 sets are equal, F = G lies in a ∩ b, so a ∩ b = F is a common face.  Only a
 pair whose ray sets differ costs a double description run: its intersection
-is built and put to the least-face test against both cones.
+is built and put to the least-face test against both cones.  The signs come
+from Cone.separating_cut, on the integer rows that each cone keeps, so the
+certificate does no field arithmetic.
 
 Two constructors skip the check, because their cones are fans by
 construction.  product_fan lifts the maximal cones of a rational fan, and
 (sigma x R+) ∩ (tau x R+) = (sigma ∩ tau) x R+, a common face of both lifts.
 recession_fan takes sigma ∩ {s = 0} for each maximal cone; s >= 0 on sigma,
-so that is a face of sigma, and faces of a fan meet in common faces.
+so that is a face of sigma, and faces of a fan meet in common faces.  Being
+a face, it is read off sigma's rays and incidences
+(Cone.horizontal_face), with no double description run.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from operator import attrgetter
 
 from .admissible import is_finite_type, make_admissible
 from .errors import DimensionMismatch, FieldMismatch, NotAFan, shown
-from .linalg import primitive_int_vector, vdot, vec
+from .linalg import primitive_int_vector, vec
 from .ordfield import FE_ZERO, ValueGroup
 from .polyhedra import Cone, HalfSpace, strict_inclusions
 
@@ -45,18 +49,11 @@ def _cone_sort_key(c: Cone):
     return (c.intrinsic_dim(), c.key())
 
 
-def _separating(a, b):
-    """The constraints of a (facets, ±equations) that are <= 0 on all of b's rays."""
-    return [
-        f for f in a.all_constraints() if all(vdot(f, r).sign() <= 0 for r in b.rays)
-    ]
-
-
 def _settled(a, b):
     """True when the separating constraints of a and b pick the same rays out
     of both, which makes a ∩ b the cone over them, a common face."""
-    cut = _separating(a, b) + _separating(b, a)
-    return a.rays_on(cut) == b.rays_on(cut)
+    mine, theirs = a.separating_cut(b)
+    return mine == theirs
 
 
 def _check_pairs(cones, kernel):
@@ -249,10 +246,7 @@ def rational_fan_from_cones(n, cones) -> RationalFan:
 def recession_fan(fan: Fan) -> RationalFan:
     """The fan of recession cones sigma ∩ {s = 0} in R^n, closed under
     faces; a fan by construction (module docstring), so left unchecked."""
-    recs = []
-    for ac in fan.maximal_cones:
-        horiz = [r[:-1] for r in ac.cone.rays if not r[-1]]
-        recs.append(Cone.from_rays(fan.n, horiz))
+    recs = [ac.cone.horizontal_face() for ac in fan.maximal_cones]
     _, out, poset = _closure(recs, lambda c: c, lambda c: c.face_lattice()[0])
     return RationalFan(fan.n, tuple(out), poset)
 

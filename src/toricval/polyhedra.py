@@ -33,11 +33,25 @@ ray-facet incidences.
 
 face_lattice's index-set routines, meet_closure and strict_inclusions, serve
 the fan, slice-complex and weight-subdivision posets too.
+
+Sign questions about a cone that is already built never touch field
+elements.  A built cone turns its rays and its constraints (facets, then
+equations and their negations) into integer rows once and keeps them: a
+row is the vector scaled by a positive integer into integer tuples (P, R)
+with v proportional to P + R*sqrt(d), R absent over Q, and the sign of a
+dot product is ordfield.pair_sign of two integer sums.  Each constraint's
+zero set over the rays is one bitmask, shared by the face lattice, the
+least-face test, the fan pair certificate (separating_cut) and the face at
+x_last = 0; a face takes its rays' rows from its parent.  Rows stay inside
+this module; vdot is left to dd_pair, the kernel.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from math import lcm
+from operator import mul
+
+from .errors import DimensionMismatch, FieldMismatch
 from .linalg import (
     canonical_ray,
     int_vector,
@@ -49,7 +63,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .ordfield import FE_ONE, FE_ZERO, as_fe
+from .ordfield import FE_ONE, FE_ZERO, as_fe, pair_sign
 
 
 class HalfSpace:
@@ -231,25 +245,76 @@ def _bit_indices(mask):
     return out
 
 
+def _row(v):
+    """(P, R, d): v scaled by a positive integer, v ~ P + R*sqrt(d) with P
+    and R integer tuples; R and d are None when v is rational."""
+    d = None
+    dens = []
+    for x in v:
+        dens.append(x.p.denominator)
+        if x.d is not None:
+            d = x.d
+            dens.append(x.q.denominator)
+    den = lcm(*dens)
+    P = tuple(x.p.numerator * den // x.p.denominator for x in v)
+    if d is None:
+        return P, None, None
+    return P, tuple(x.q.numerator * den // x.q.denominator for x in v), d
+
+
+def _row_sign(f, r):
+    """The sign of <f, r> for rows f and r."""
+    fp, fq, d = f
+    rp, rq, e = r
+    a = sum(map(mul, fp, rp))
+    if fq is None:
+        if rq is None:
+            return (a > 0) - (a < 0)
+        return pair_sign(a, sum(map(mul, fp, rq)), e)
+    if rq is None:
+        return pair_sign(a, sum(map(mul, fq, rp)), d)
+    if d != e:
+        raise FieldMismatch(f"cannot mix sqrt({d}) and sqrt({e}) elements")
+    return pair_sign(a + d * sum(map(mul, fq, rq)),
+                     sum(map(mul, fp, rq)) + sum(map(mul, fq, rp)), d)
+
+
+def _zero_mask(row, rows):
+    """The bitmask of the rows on which row vanishes."""
+    mask = 0
+    bit = 1
+    for r in rows:
+        if not _row_sign(row, r):
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 class Cone:
     """Polyhedral cone with canonical V- and H-representations.
 
     A cone built by a double description run, or a face from face_lattice,
     computes its H-side (facets, equations) on first access, from its
     inputs and its rays' tight sets, and keeps it; a face's intrinsic
-    dimension comes from the graded lattice.
+    dimension comes from the graded lattice.  Integer rows of the rays and
+    constraints, and each constraint's zero mask over the rays, are made on
+    first use and kept (module docstring).
     """
 
-    __slots__ = ("dim", "rays", "lineality", "_hside", "_pending", "_idim", "_faces")
+    __slots__ = ("dim", "rays", "lineality", "_hside", "_inputs", "_idim",
+                 "_faces", "_rrows", "_crows", "_masks")
 
     def __init__(self, dim, rays, lineality, facets, equations):
         self.dim = dim
         self.rays = tuple(rays)
         self.lineality = tuple(lineality)
         self._hside = (tuple(facets), tuple(equations))
-        self._pending = None
+        self._inputs = None
         self._idim = None
         self._faces = None
+        self._rrows = None
+        self._crows = None
+        self._masks = None
 
     @staticmethod
     def _from_incidences(dim, rays, lineality, inputs, tight, idim=None):
@@ -257,13 +322,12 @@ class Cone:
         inputs and tight, the inputs' indices tight on each ray, when first
         asked for.  idim is its intrinsic dimension when known."""
         cone = Cone(dim, rays, lineality, (), ())
-        cone._hside, cone._pending, cone._idim = None, (inputs, tight), idim
+        cone._hside, cone._inputs, cone._idim = None, (inputs, tight), idim
         return cone
 
     def _sides(self):
         if self._hside is None:
-            self._hside = _other_side(self.dim, *self._pending)
-            self._pending = None
+            self._hside = _other_side(self.dim, *self._inputs)
         return self._hside
 
     @property
@@ -273,6 +337,39 @@ class Cone:
     @property
     def equations(self):
         return self._sides()[1]
+
+    def incidences(self):
+        """For each ray of a cone from from_constraints, the indices of the
+        inputs tight on it: the run's incidence sets."""
+        return self._inputs[1]
+
+    # -- integer rows ---------------------------------------------------------
+
+    def _ray_rows(self):
+        if self._rrows is None:
+            self._rrows = tuple(map(_row, self.rays))
+        return self._rrows
+
+    def _constraint_rows(self):
+        """Rows of all_constraints(), in its order."""
+        if self._crows is None:
+            self._crows = tuple(map(_row, self.all_constraints()))
+        return self._crows
+
+    def _zero_masks(self):
+        """For each constraint, in all_constraints() order, the bitmask of
+        the rays it vanishes on."""
+        if self._masks is None:
+            rays = self._ray_rows()
+            self._masks = tuple(_zero_mask(c, rays) for c in self._constraint_rows())
+        return self._masks
+
+    def _tight(self, k):
+        """The indices of the constraints vanishing on ray k."""
+        return frozenset(j for j, m in enumerate(self._zero_masks()) if m >> k & 1)
+
+    def _rays_in(self, mask):
+        return tuple(self.rays[k] for k in _bit_indices(mask))
 
     # -- construction --------------------------------------------------------
 
@@ -287,6 +384,20 @@ class Cone:
         lineality = [vec(l) for l in lineality]
         gens = [vec(r) for r in rays] + lineality + [vneg(l) for l in lineality]
         return Cone.from_constraints(dim, gens).dual()
+
+    def horizontal_face(self):
+        """The face on x_last = 0 of a cone in {x_last >= 0}, as a cone in
+        R^(dim - 1), with no run: its rays are the rays with last coordinate
+        0, its inputs the constraints, that coordinate dropped from both,
+        and its rays' tight sets are read off the zero masks."""
+        keep = [k for k, r in enumerate(self.rays) if not r[-1]]
+        return Cone._from_incidences(
+            self.dim - 1,
+            tuple(self.rays[k][:-1] for k in keep),
+            tuple(l[:-1] for l in self.lineality),
+            [c[:-1] for c in self.all_constraints()],
+            [self._tight(k) for k in keep],
+        )
 
     # -- basic queries --------------------------------------------------------
 
@@ -310,8 +421,11 @@ class Cone:
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatch(f"point of length {len(x)} in dimension {self.dim}")
-        return all(vdot(f, x).sign() >= 0 for f in self.facets) and all(
-            not vdot(e, x) for e in self.equations
+        x = _row(x)
+        rows = self._constraint_rows()
+        nf, ne = len(self.facets), len(self.equations)
+        return all(_row_sign(f, x) >= 0 for f in rows[:nf]) and not any(
+            _row_sign(e, x) for e in rows[nf:nf + ne]
         )
 
     def intersect(self, other):
@@ -337,28 +451,30 @@ class Cone:
         graded: the minimal face has dimension len(lineality), every other
         face one more than its largest proper subface.
         """
-        if self._faces is not None:
-            return self._faces
+        if self._faces is None:
+            self._faces = self._build_lattice()
+        return self._faces[:2]
+
+    def _build_lattice(self):
+        """(faces, edges, masks): face_lattice's pair and each face's ray mask."""
         constraints = self.all_constraints()
-        tight = [
-            frozenset(i for i, c in enumerate(constraints) if not vdot(c, r))
-            for r in self.rays
-        ]
+        tight = [self._tight(k) for k in range(len(self.rays))]
         # facets come first in all_constraints, so facet j is constraint j
-        facet_masks = [
-            sum(1 << k for k, t in enumerate(tight) if j in t)
-            for j in range(len(self.facets))
-        ]
-        found = meet_closure([(1 << len(self.rays)) - 1], facet_masks)
-        keys = sorted(map(_bit_indices, found), key=lambda idx: (-len(idx), idx))
+        found = meet_closure([(1 << len(self.rays)) - 1],
+                             self._zero_masks()[:len(self.facets)])
+        items = sorted(((_bit_indices(m), m) for m in found),
+                       key=lambda item: (-len(item[0]), item[0]))
+        keys = [idx for idx, _ in items]
         edges = strict_inclusions(keys)
         # a subface comes later in keys, so reversed edges finish it first
         grade = [len(self.lineality)] * len(keys)
         for i, j in reversed(edges):
             if grade[j] <= grade[i]:
                 grade[j] = grade[i] + 1
-        faces = [
-            Cone._from_incidences(
+        rows = self._ray_rows()
+        faces = []
+        for idx, g in zip(keys, grade):
+            face = Cone._from_incidences(
                 self.dim,
                 tuple(self.rays[i] for i in idx),
                 self.lineality,
@@ -366,22 +482,75 @@ class Cone:
                 [tight[i] for i in idx],
                 g,
             )
-            for idx, g in zip(keys, grade)
-        ]
-        self._faces = (faces, edges)
-        return self._faces
+            face._rrows = tuple(rows[i] for i in idx)
+            faces.append(face)
+        return faces, edges, [m for _, m in items]
+
+    def tight_on_faces(self, normals):
+        """For each face of face_lattice(), in its order, the indices of the
+        normals that vanish on the whole face (its rays and the lineality)."""
+        if self._faces is None:
+            self.face_lattice()
+        rays = self._ray_rows()
+        lin = [_row(l) for l in self.lineality]
+        zero = []
+        for i, a in enumerate(normals):
+            h = _row(vec(a))
+            if not any(_row_sign(h, l) for l in lin):
+                zero.append((i, _zero_mask(h, rays)))
+        return [tuple(i for i, z in zero if z & m == m) for m in self._faces[2]]
 
     def rays_on(self, hyperplanes):
         """The rays on which every one of the hyperplanes vanishes."""
-        return tuple(r for r in self.rays if not any(vdot(h, r) for h in hyperplanes))
+        mask = (1 << len(self.rays)) - 1
+        for h in hyperplanes:
+            h = vec(h)
+            if len(h) != self.dim:
+                raise DimensionMismatch(f"hyperplane of length {len(h)} in dimension {self.dim}")
+            mask &= _zero_mask(_row(h), self._ray_rows())
+        return self._rays_in(mask)
 
     def is_face_of(self, other):
         """The least-face test: the facets of other vanishing on self's rays
         cut out a face of other, and self is a face iff it is that face."""
         if (self.dim, self.lineality) != (other.dim, other.lineality):
             return False
-        cut = [f for f in other.facets if not any(vdot(f, r) for r in self.rays)]
-        return other.rays_on(cut) == self.rays
+        rays = self._ray_rows()
+        nf = len(other.facets)
+        mask = (1 << len(other.rays)) - 1
+        for f, own in zip(other._constraint_rows()[:nf], other._zero_masks()):
+            if not any(_row_sign(f, r) for r in rays):
+                mask &= own
+        return other._rays_in(mask) == self.rays
+
+    def _cut_masks(self, other):
+        """(here, there): the rays of self, and those of other, on every
+        constraint of self that is <= 0 on all rays of other, as masks."""
+        here = (1 << len(self.rays)) - 1
+        there = (1 << len(other.rays)) - 1
+        rays = other._ray_rows()
+        for c, own in zip(self._constraint_rows(), self._zero_masks()):
+            zero = 0
+            bit = 1
+            for r in rays:
+                s = _row_sign(c, r)
+                if s > 0:
+                    break
+                if not s:
+                    zero |= bit
+                bit <<= 1
+            else:
+                here &= own
+                there &= zero
+        return here, there
+
+    def separating_cut(self, other):
+        """The rays of self and the rays of other on every hyperplane of the
+        cut: the constraints of either cone (facets, and either sign of each
+        equation) that are <= 0 on all rays of the other cone."""
+        a_here, b_there = self._cut_masks(other)
+        b_here, a_there = other._cut_masks(self)
+        return self._rays_in(a_here & a_there), other._rays_in(b_here & b_there)
 
     # -- identity -------------------------------------------------------------
 

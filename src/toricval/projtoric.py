@@ -6,7 +6,10 @@ R^(n+2) with coordinates (x, lam, t); its vertical recession ray (0, 1, 0)
 lies on every facet except the lower ones, so the lower facets are exactly
 the facets whose inward normal has a positive lam-coefficient, and the other
 facets (lam-coefficient 0) are vertical.  Everything is read off this one
-hull, with no further double description run:
+hull, with no further double description run.  That run takes the lifted
+points as constraints: its rays are the hull's facets and its incidence
+sets are each facet's tight points, so the hull's own H-side is never
+computed.  From that run:
 
 - each lower facet F gives an affine function ell_F = <phi, x> + beta, and
   the lower envelope, being convex, is the maximum of the ell_F over the
@@ -187,12 +190,12 @@ def weight_subdivision(cfg: HeightedConfig) -> Subdivision:
     rays = list(lifted.values()) + [
         tuple([FE_ZERO] * n) + (FE_ONE, FE_ZERO)
     ]
-    hull = Cone.from_rays(n + 2, rays)
+    hull_dual = Cone.from_constraints(n + 2, rays)
 
     lower = []
     vertical = []
-    for normal in hull.facets:
-        tight = tuple(j for j in finite if not vdot(normal, lifted[j]))
+    for normal, on in zip(hull_dual.rays, hull_dual.incidences()):
+        tight = tuple(finite[i] for i in sorted(on) if i < len(finite))
         c = normal[n]
         if c.sign() == 0:
             vertical.append(frozenset(tight))

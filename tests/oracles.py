@@ -12,7 +12,10 @@ routes by a whole face lattice, by one run per cone pair and per lifted cone,
 product_by_pair_check and recession_by_pair_check, the product and recession
 fans validated pair by pair, and the reference routes for the semigroup searches
 (pairwise_generators, dfs_saturation_check), which build the package's
-GeneratorSet and its hull; every algorithm here is deliberately naive.
+GeneratorSet and its hull.  The sign routes that integer rows replaced
+(separating_cut_by_vdot, rays_on_by_vdot, faces_by_vdot and
+weight_subdivision_by_hull) keep the package's former code and call
+linalg.vdot on field elements.  Every algorithm here is deliberately naive.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from fractions import Fraction
 import mpmath
 
 from toricval import (
+    AdmissibleCone,
     BoundTooSmall,
     Cone,
     FieldElement,
@@ -31,8 +35,10 @@ from toricval import (
     make_admissible,
     rational_fan_from_cones,
 )
-from toricval.linalg import primitive_int_vector, vec, vneg
+from toricval.linalg import primitive_int_vector, rank, vdot, vec, vneg
 from toricval.ordfield import FE_ONE, FE_ZERO, as_fe
+from toricval.polyhedra import meet_closure, strict_inclusions
+from toricval.projtoric import CellCertificate, Subdivision, weight_polytope
 
 # -- interval-arithmetic sign -----------------------------------------------
 
@@ -259,6 +265,27 @@ def recession_by_pair_check(fan):
         Cone.from_rays(fan.n, [r[:-1] for r in ac.cone.rays if not r[-1]])
         for ac in fan.maximal_cones
     ])
+
+
+def rays_on_by_vdot(c, hyperplanes):
+    """The rays of c on which every one of the hyperplanes vanishes, by
+    vdot: the route that Cone.rays_on's integer rows replaced."""
+    return tuple(r for r in c.rays if not any(vdot(h, r) for h in hyperplanes))
+
+
+def _separating_by_vdot(a, b):
+    """The constraints of a (facets, ±equations) that are <= 0 on all of b's rays."""
+    return [
+        f for f in a.all_constraints() if all(vdot(f, r).sign() <= 0 for r in b.rays)
+    ]
+
+
+def separating_cut_by_vdot(a, b):
+    """The rays of a and of b on every separating constraint of either
+    cone, by vdot: the reference for Cone.separating_cut, and fans._settled
+    holds exactly when the two are equal."""
+    cut = _separating_by_vdot(a, b) + _separating_by_vdot(b, a)
+    return rays_on_by_vdot(a, cut), rays_on_by_vdot(b, cut)
 
 
 def lift_by_rays(c):
@@ -560,6 +587,88 @@ def cell_cone_faces(cfg):
     poset = [(i, j) for i, a in enumerate(order) for j, b in enumerate(order)
              if set(a) < set(b)]
     return cells, order, [faces[idx] for idx in order], poset
+
+
+def weight_subdivision_by_hull(cfg):
+    """weight_subdivision through the hull from Cone.from_rays, each facet's
+    tight points found by vdot: the route that reading them off the run's
+    incidences replaced."""
+    n = cfg.n
+    finite = cfg.finite_indices()
+    lifted = {
+        j: vec(cfg.points[j]) + (cfg.heights[j], FE_ONE) for j in finite
+    }
+    rays = list(lifted.values()) + [
+        tuple([FE_ZERO] * n) + (FE_ONE, FE_ZERO)
+    ]
+    hull = Cone.from_rays(n + 2, rays)
+
+    lower = []
+    vertical = []
+    for normal in hull.facets:
+        tight = tuple(j for j in finite if not vdot(normal, lifted[j]))
+        c = normal[n]
+        if c.sign() == 0:
+            vertical.append(frozenset(tight))
+            continue
+        phi = tuple(-x / c for x in normal[:n])
+        beta = -normal[n + 1] / c
+        ell = {j: vdot(phi, lifted[j][:n]) + beta for j in finite}
+        lower.append((CellCertificate(phi, beta, tight), ell))
+
+    envelope = {j: max(ell[j] for _, ell in lower) for j in finite}
+    certs = {}
+    for cert, ell in lower:
+        certs[tuple(j for j in finite if ell[j] == envelope[j])] = cert
+    cells = sorted(certs)
+
+    cell_sets = [frozenset(cell) for cell in cells]
+    found = meet_closure(cell_sets, cell_sets + vertical)
+    found.discard(frozenset())
+    faces = {}
+    for face in found:
+        idx = tuple(sorted(face))
+        faces[idx] = rank([lifted[j][:n] + (FE_ONE,) for j in idx], n + 1) - 1
+
+    ordered = sorted(faces.items(), key=lambda kv: (-kv[1], kv[0]))
+    face_list = tuple(idx for idx, _ in ordered)
+    dims = tuple(d for _, d in ordered)
+    poset = strict_inclusions(face_list)
+
+    return Subdivision(
+        n,
+        weight_polytope(cfg),
+        tuple(cells),
+        face_list,
+        dims,
+        tuple(poset),
+        certs,
+    )
+
+
+# -- faces of admissible cones, tight half-spaces by vdot ---------------------------
+
+
+def faces_by_vdot(ac):
+    """AdmissibleCone.faces() with each face's tight half-spaces and its
+    vertical_tight found by testing every half-space normal on every face
+    ray and lineality vector: the route that Cone.tight_on_faces replaced."""
+    kfaces, edges = ac.cone.face_lattice()
+    return [_wrap_face_by_vdot(ac, f) for f in kfaces], edges
+
+
+def _wrap_face_by_vdot(ac, face):
+    if face.key() == ac.cone.key():
+        return ac
+    hss = list(ac.halfspaces)
+    test_vecs = list(face.rays) + list(face.lineality)
+    for h in ac.halfspaces:
+        normal = h.normal()
+        if all(not vdot(normal, r) for r in test_vecs):
+            hss.append(HalfSpace(tuple(-x for x in h.u), -h.c))
+    vertical = all(not r[-1] for r in test_vecs)
+    return AdmissibleCone(ac.n, ac.gamma, hss, face,
+                          vertical_tight=vertical or ac.vertical_tight)
 
 
 # -- inclusion between cones --------------------------------------------------------

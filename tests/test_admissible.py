@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog import (CONES, G_HALF, G_S2, G_SIXTH, G_Z, SQRT2, build,
+from catalog import (CONES, G_HALF, G_S2, G_SIXTH, G_Z, SQRT2, build, grid_box,
                      random_admissible_cone)
-from oracles import interval_sign, pairwise_generators
+from oracles import faces_by_vdot, interval_sign, pairwise_generators
 from toricval import (
     BoundTooSmall,
     Cone,
@@ -345,3 +345,36 @@ def test_slice_of_faces_are_cells():
     nonempty = [c for c in cells if c is not None]
     # square: 1 cell + 4 edges + 4 vertices = 9 nonempty slices (apex excluded)
     assert len(nonempty) == 9
+
+
+def _face_fields(ac):
+    return (ac.n, ac.gamma, ac.halfspaces, ac.cone.key(), ac.vertical_tight)
+
+
+def _assert_faces_match_vdot_route(ac):
+    faces, edges = ac.faces()
+    old, old_edges = faces_by_vdot(ac)
+    assert edges == old_edges
+    assert [_face_fields(f) for f in faces] == [_face_fields(f) for f in old]
+    assert faces[0] is ac
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1).map(_random_cone))
+def test_faces_match_vdot_route(case):
+    """faces() against the route that tested every half-space on every face
+    ray, field by field (half-space order and vertical_tight included), on
+    the cone, on each proper face (lower-dimensional, with the negated
+    half-spaces) and on a flat box: a segment or a point."""
+    ac, rng = case
+    _assert_faces_match_vdot_route(ac)
+    for face in ac.faces()[0][1:]:
+        _assert_faces_match_vdot_route(face)
+    lo = (rng.randint(0, 3), rng.randint(0, 3))
+    hi = (lo[0] + rng.randint(0, 1), lo[1])
+    _assert_faces_match_vdot_route(grid_box(lo, hi, rng.choice([G_Z, G_S2])))
+
+
+def test_faces_match_vdot_route_catalog():
+    for entry in CONES:
+        _assert_faces_match_vdot_route(entry.build())

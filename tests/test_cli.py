@@ -207,9 +207,9 @@ def test_saturated_payload():
 
 
 # double description runs per command, one per cone built (parsed cones,
-# generator hulls, rebuilt cones, recession and lifted cones, and the
-# intersection of each fan pair that no separating facet settles); duals
-# and faces cost none
+# generator hulls, rebuilt cones, lifted cones, and the intersection of each
+# fan pair that no separating facet settles); duals, faces and recession
+# cones, which are faces, cost none
 DD_RUNS = [
     (1, ["check-cone", "C1.json"]),
     (1, ["check-cone", "C2.json"]),
@@ -221,7 +221,7 @@ DD_RUNS = [
     (3, ["fan-validate", "F2.json"]),
     (3, ["fan-validate", "nonfan.json"]),
     (3, ["slice", "F2.json"]),
-    (6, ["recession", "F2.json"]),
+    (3, ["recession", "F2.json"]),
     (4, ["product-fan", "prodfan1.json"]),
     (2, ["product-fan", "prodfan2.json"]),
     (16, ["product-fan", "prodfan3.json"]),

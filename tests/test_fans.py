@@ -36,6 +36,7 @@ from oracles import (
     lift_by_rays,
     product_by_pair_check,
     recession_by_pair_check,
+    separating_cut_by_vdot,
 )
 from toricval import (
     Cone,
@@ -305,6 +306,46 @@ def test_fallback_accepts_pair_no_constraint_settles(monkeypatch):
     assert len(fan.cones) == 15
 
 
+def test_sign_queries_on_built_cones_run_no_vdot(monkeypatch):
+    """Once the cones are built, face lattices, admissible faces, the pair
+    certificate, the least-face test, rays_on and contains_point read every
+    sign off integer rows and incidences: no vdot call."""
+    inputs = random_grid_fan_cones(random.Random(5)) + [build("C1S"), build("C2")]
+    kernels = [ac.cone for ac in inputs]
+    hexagram = [
+        Cone.from_rays(3, [vec(r) for r in [(0, 2, 1), (-2, -1, 1), (2, -1, 1)]]),
+        Cone.from_rays(3, [vec(r) for r in [(0, 2, -1), (-2, -1, -1), (2, -1, -1)]]),
+    ]
+    inter = hexagram[0].intersect(hexagram[1])
+    calls = []
+    real = polyhedra.vdot
+    monkeypatch.setattr(polyhedra, "vdot",
+                        lambda *args: calls.append(args) or real(*args))
+    for ac in inputs:
+        ac.faces()
+    for a, b in itertools.combinations(kernels[:6], 2):
+        fans._settled(a, b)
+        a.is_face_of(b)
+        a.rays_on(b.facets)
+        assert all(a.contains_point(r) for r in a.rays)
+    assert not fans._settled(*hexagram)
+    assert inter.is_face_of(hexagram[0]) and inter.is_face_of(hexagram[1])
+    for c in kernels + hexagram:
+        c.face_lattice()
+    assert calls == []
+
+
+def test_recession_of_orthant_product_runs_no_double_description(monkeypatch):
+    # each recession cone is the face of a lifted cone at s = 0: 16 runs
+    # before, one per maximal cone, and none now
+    lifted = product_fan(rational_fan_from_cones(4, _orthant_rays(4)), G_Z)
+    calls = _count_dd_runs(monkeypatch)
+    rec = recession_fan(lifted)
+    assert len(calls) == 0
+    assert len(rec.cones) == 81
+    _same_fan(rec, recession_by_pair_check(lifted), _rational_fan_json)
+
+
 # -- the pair check against one run per pair ------------------------------------------
 
 
@@ -336,6 +377,8 @@ def _agrees_with_dd_route(construct, inputs, kernel):
         if a.key() == b.key():
             continue
         common = common_face_by_dd(a, b)
+        mine, theirs = separating_cut_by_vdot(a, b)
+        assert fans._settled(a, b) == (mine == theirs)
         if fans._settled(a, b):
             assert common
             kinds.add("settled")

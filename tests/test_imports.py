@@ -62,3 +62,14 @@ def test_scanner_flags_unused_and_spares_used():
 
 def test_scan_covers_the_package():
     assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("name", ["fans.py", "admissible.py"])
+def test_fan_layers_import_no_vdot(name):
+    """fans and admissible ask Cone for signs; field-element dot products
+    stay in the kernel."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "vdot" not in imported

@@ -12,7 +12,9 @@ and that the face lattice matches facet-subset enumeration.  Cones from a
 run and faces compute their H-side on first read, once: it must equal an
 eager _other_side call (and, for a face, a fresh run), the containment
 relation must equal the all-pairs reference, and face_lattice itself must
-run no linear algebra per face.
+run no linear algebra per face.  Every sign a built cone reads off its
+integer rows must be vdot's, and separating_cut, rays_on and
+contains_point must agree with the vdot routes kept in tests/oracles.py.
 """
 
 import itertools
@@ -33,10 +35,12 @@ from oracles import (
     face_by_lattice,
     fresh_dual,
     matrix_rank,
+    rays_on_by_vdot,
+    separating_cut_by_vdot,
     sides,
 )
-from toricval import Cone, HalfSpace, fe, polyhedra, sqrtd
-from toricval.linalg import vec, vneg
+from toricval import Cone, HalfSpace, fans, fe, polyhedra, sqrtd
+from toricval.linalg import vdot, vec, vneg
 from toricval.polyhedra import vertical_normal
 
 
@@ -328,6 +332,47 @@ def test_least_face_test_matches_lattice_scan():
         ("face", True), ("intersection", True), ("intersection", False),
         ("unrelated", True), ("unrelated", False)}
     assert ("intersection", True, True) in seen
+
+
+# -- integer rows against field arithmetic -------------------------------------
+
+
+@PROPERTY
+@given(cone_pairs())
+def test_row_signs_match_vdot(pair):
+    """Every sign read off integer rows is vdot's sign, within one cone and
+    across two, on rays and lineality alike; each zero mask is the set of
+    rays that vdot finds the constraint vanishing on."""
+    for c, d in itertools.product(pair, repeat=2):
+        vectors = d.rays + d.lineality
+        rows = [polyhedra._row(v) for v in vectors]
+        assert d._ray_rows() == tuple(rows[:len(d.rays)])
+        for f, fr in zip(c.all_constraints(), c._constraint_rows()):
+            for v, vr in zip(vectors, rows):
+                assert polyhedra._row_sign(fr, vr) == vdot(f, v).sign()
+    for c in pair:
+        assert c._zero_masks() == tuple(
+            sum(1 << k for k, r in enumerate(c.rays) if not vdot(f, r))
+            for f in c.all_constraints())
+
+
+@PROPERTY
+@given(cone_pairs())
+def test_row_queries_match_vdot_routes(pair):
+    """separating_cut, fans._settled, rays_on and contains_point against
+    the field-arithmetic routes they replaced."""
+    a, b = pair
+    cut = a.separating_cut(b)
+    assert cut == separating_cut_by_vdot(a, b)
+    assert fans._settled(a, b) == (cut[0] == cut[1])
+    hyperplanes = b.all_constraints()
+    assert a.rays_on(hyperplanes) == rays_on_by_vdot(a, hyperplanes)
+    for h in hyperplanes:
+        assert a.rays_on([h]) == rays_on_by_vdot(a, [h])
+    for x in a.rays + b.rays + b.lineality + tuple(map(vneg, b.rays)):
+        assert a.contains_point(x) == (
+            all(vdot(f, x).sign() >= 0 for f in a.facets)
+            and not any(vdot(e, x) for e in a.equations))
 
 
 @PROPERTY

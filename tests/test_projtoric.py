@@ -21,6 +21,7 @@ from oracles import (
     faces_of_cells_1d,
     lower_cells_1d,
     weight_polytope_reference,
+    weight_subdivision_by_hull,
 )
 from toricval import (
     Cone,
@@ -278,6 +279,21 @@ def test_subdivision_matches_cell_cone_oracle(cfg):
     xs = {cfg.points[j] for j in cfg.finite_indices()}
     if cfg.n == 1 and len(xs) > 1:
         assert list(sub.cells) == lower_cells_1d(cfg.points, cfg.heights)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(weight_configs() | st.integers(0, 2**32 - 1).map(
+    lambda seed: random_heighted_config(random.Random(seed))))
+def test_subdivision_matches_hull_route(cfg):
+    """Tight points read off the run's incidences against the hull from
+    Cone.from_rays and a vdot per facet and point: ranks 1 to 3, infinite
+    heights, flat and repeated points, heights in Q and Q(sqrt 2)."""
+    sub = weight_subdivision(cfg)
+    old = weight_subdivision_by_hull(cfg)
+    for field in ("n", "support_vertices", "cells", "faces", "face_dims",
+                  "poset", "certificates"):
+        assert getattr(sub, field) == getattr(old, field), field
+    assert list(sub.certificates.items()) == list(old.certificates.items())
 
 
 def test_weight_subdivision_one_dd_run(monkeypatch):
